@@ -8,10 +8,35 @@ written in a compact text language; a brute-force verifier can then show,
 up to a bound, that an enforced stream never violates the monitored
 property while compliant streams pass through untouched.
 
->>> from enforcekit import parse_policy, ModuleRegistry, enforce_trace, parse_trace
->>> policy = parse_policy(POLICY_TEXT)
+A camera policy that releases the camera before a pause, applied to a
+trace that pauses while holding it:
+
+>>> from enforcekit import (
+...     ModuleRegistry, enforce_trace, parse_policy, parse_trace, serialize_trace)
+>>> policy = parse_policy('''
+... policy CameraRelease
+... instantiate per-component
+... alphabet api Camera.open, api Camera.release, cb onPause
+... initial FREE
+... state FREE:
+...   on api Camera.open -> HELD emit [$in]
+... state HELD:
+...   on api Camera.release -> FREE emit [$in]
+...   on cb onPause -> FREE emit [api Camera.release, $in]
+... end
+... ''')
+>>> trace = parse_trace('''
+... 1 api:Camera.open@A1
+... 2 cb:onPause@A1
+... ''')
 >>> registry = ModuleRegistry.from_policies([policy])
->>> enforced, report = enforce_trace(registry, parse_trace(TRACE_TEXT))
+>>> enforced, report = enforce_trace(registry, trace)
+>>> print(serialize_trace(enforced))
+1 api:Camera.open@A1
+2 !api:Camera.release@A1
+3 cb:onPause@A1
+>>> report.total.inserted
+1
 """
 
 from .dsl import (
@@ -33,7 +58,6 @@ from .enforcement import (
     UnknownModuleError,
     enforce_event,
     enforce_trace,
-    instance_key,
 )
 from .events import (
     Event,
@@ -146,7 +170,6 @@ __all__ = [
     "UnknownModuleError",
     "enforce_event",
     "enforce_trace",
-    "instance_key",
     # checking and verification
     "MonitorAutomaton",
     "Violation",

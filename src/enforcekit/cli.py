@@ -320,7 +320,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     Exit 0 when the policy is sound and transparent up to the bound, 1 when
     either fails (counterexamples are printed), 2 when the inputs are
-    unusable or the universe exceeds the enumeration budget.
+    unusable, the universe exceeds the enumeration budget, or the policy
+    cannot enforce a trace of the universe (named with the failing seq).
     """
     policy = _load_policy(args.policy)
     monitor = _load_monitor(args.monitor)
@@ -342,7 +343,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"universe holds {size} traces, over the {VERIFY_TRACE_LIMIT} budget; "
             f"shrink the alphabet or --max-len"
         )
-    verdict = brute_force_verify(policy, monitor, universe)
+    try:
+        verdict = brute_force_verify(policy, monitor, universe)
+    except EnforcementError as err:
+        raise _CliError(f"cannot enforce a trace of the universe: {err}") from err
     structured = args.format == "structured"
     yes_no = {True: "yes", False: "no"}
     if structured:

@@ -294,7 +294,18 @@ class _StateBlock(NamedTuple):
     transitions: list[tuple[Transition, _Token]]
 
 
-def _parse_body(parser: _Parser, is_monitor: bool, doc: str):
+def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
+    """Parse one document; ``doc`` is "policy", "monitor" or None for either.
+
+    With None the leading keyword decides, and anything but ``monitor``
+    is read as a policy, so errors name the policy grammar.
+    """
+    parser = _Parser(text)
+    if doc is None:
+        doc = "monitor" if parser.at_keyword("monitor") else "policy"
+    is_monitor = doc == "monitor"
+    head = parser.expect_keyword(doc)
+    name = parser.expect("ident", f"{doc} name").value
     statement: str | None = None
     instancing: Instancing | None = None
     binder_attr: str | None = None
@@ -441,83 +452,76 @@ def _parse_body(parser: _Parser, is_monitor: bool, doc: str):
                 f"error state {block.name} must not have outgoing transitions",
                 block.token,
             )
-    return {
-        "statement": statement or "",
-        "instancing": instancing or Instancing.SINGLETON,
-        "binder_attr": binder_attr,
-        "alphabet": patterns,
-        "initial": initial[0],
-        "default": default or DefaultAction.ALLOW,
-        "blocks": blocks,
-    }
+    states = tuple(block.name for block in blocks)
+    transitions = tuple(t for block in blocks for t, _tok in block.transitions)
+    shared = dict(
+        alphabet=patterns,
+        instancing=instancing or Instancing.SINGLETON,
+        binder_attr=binder_attr,
+        statement=statement or "",
+    )
+    try:
+        if is_monitor:
+            return MonitorAutomaton(
+                name=name,
+                states=states,
+                initial=initial[0],
+                error_states=frozenset(b.name for b in blocks if b.error),
+                transitions=transitions,
+                **shared,
+            )
+        automaton = EditAutomaton(
+            states, initial[0], transitions, default or DefaultAction.ALLOW
+        )
+        return PolicySpec(name=name, automaton=automaton, **shared)
+    except ValueError as err:
+        raise _semantic(str(err), head) from err
 
 
 def parse_policy(text: str) -> PolicySpec:
     """Parse one ``policy ... end`` document into a :class:`PolicySpec`."""
-    parser = _Parser(text)
-    head = parser.expect_keyword("policy")
-    name_tok = parser.expect("ident", "policy name")
-    body = _parse_body(parser, is_monitor=False, doc="policy")
-    transitions = tuple(t for block in body["blocks"] for t, _tok in block.transitions)
-    try:
-        automaton = EditAutomaton(
-            states=tuple(block.name for block in body["blocks"]),
-            initial=body["initial"],
-            transitions=transitions,
-            default=body["default"],
-        )
-        return PolicySpec(
-            name=name_tok.value,
-            automaton=automaton,
-            alphabet=body["alphabet"],
-            instancing=body["instancing"],
-            binder_attr=body["binder_attr"],
-            statement=body["statement"],
-        )
-    except ValueError as err:
-        raise _semantic(str(err), head) from err
+    return _parse(text, "policy")  # type: ignore[return-value]
 
 
 def parse_monitor(text: str) -> MonitorAutomaton:
     """Parse one ``monitor ... end`` document into a :class:`MonitorAutomaton`."""
-    parser = _Parser(text)
-    head = parser.expect_keyword("monitor")
-    name_tok = parser.expect("ident", "monitor name")
-    body = _parse_body(parser, is_monitor=True, doc="monitor")
-    transitions = tuple(t for block in body["blocks"] for t, _tok in block.transitions)
-    try:
-        return MonitorAutomaton(
-            name=name_tok.value,
-            states=tuple(block.name for block in body["blocks"]),
-            initial=body["initial"],
-            error_states=frozenset(b.name for b in body["blocks"] if b.error),
-            transitions=transitions,
-            alphabet=body["alphabet"],
-            instancing=body["instancing"],
-            binder_attr=body["binder_attr"],
-            statement=body["statement"],
-        )
-    except ValueError as err:
-        raise _semantic(str(err), head) from err
+    return _parse(text, "monitor")  # type: ignore[return-value]
 
 
 def parse_document(text: str) -> PolicySpec | MonitorAutomaton:
     """Parse either document kind, deciding by the leading keyword."""
-    parser = _Parser(text)
-    token = parser.peek()
-    if token.type == "ident" and token.value == "monitor":
-        return parse_monitor(text)
-    return parse_policy(text)
+    return _parse(text, None)
 
 
 def _escape(statement: str) -> str:
     return statement.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _instantiate_line(instancing: Instancing, binder_attr: str | None) -> str:
-    if instancing is Instancing.PER_BINDER:
-        return f"instantiate {instancing.value} {binder_attr}"
-    return f"instantiate {instancing.value}"
+def _serialize(doc: PolicySpec | MonitorAutomaton) -> str:
+    """Canonical text of either document kind; ``_parse`` reads it back equal."""
+    is_monitor = isinstance(doc, MonitorAutomaton)
+    automaton = doc if is_monitor else doc.automaton
+    lines = [f"{'monitor' if is_monitor else 'policy'} {doc.name}"]
+    if doc.statement:
+        lines.append(f'statement "{_escape(doc.statement)}"')
+    instantiate = f"instantiate {doc.instancing.value}"
+    if doc.instancing is Instancing.PER_BINDER:
+        instantiate += f" {doc.binder_attr}"
+    lines.append(instantiate)
+    if doc.alphabet:
+        lines.append("alphabet " + ", ".join(p.text() for p in doc.alphabet))
+    lines.append(f"initial {automaton.initial}")
+    for state in automaton.states:
+        flag = " error" if is_monitor and state in doc.error_states else ""
+        lines.append(f"state {state}{flag}:")
+        for t in automaton.transitions:
+            if t.source == state:
+                emit = "" if t.output is None else f" emit {t.output.text()}"
+                lines.append(f"  on {t.pattern.text()} -> {t.target}{emit}")
+    if not is_monitor:
+        lines.append(f"default {automaton.default.value}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def serialize_policy(spec: PolicySpec) -> str:
@@ -525,42 +529,9 @@ def serialize_policy(spec: PolicySpec) -> str:
 
     ``parse_policy(serialize_policy(s))`` structurally equals ``s``.
     """
-    lines = [f"policy {spec.name}"]
-    if spec.statement:
-        lines.append(f'statement "{_escape(spec.statement)}"')
-    lines.append(_instantiate_line(spec.instancing, spec.binder_attr))
-    if spec.alphabet:
-        lines.append("alphabet " + ", ".join(p.text() for p in spec.alphabet))
-    automaton = spec.automaton
-    lines.append(f"initial {automaton.initial}")
-    for state in automaton.states:
-        lines.append(f"state {state}:")
-        for t in automaton.transitions:
-            if t.source != state:
-                continue
-            assert t.output is not None
-            lines.append(
-                f"  on {t.pattern.text()} -> {t.target} emit {t.output.text()}"
-            )
-    lines.append(f"default {automaton.default.value}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _serialize(spec)
 
 
 def serialize_monitor(monitor: MonitorAutomaton) -> str:
     """Render the canonical monitor text; the round-trip twin of the above."""
-    lines = [f"monitor {monitor.name}"]
-    if monitor.statement:
-        lines.append(f'statement "{_escape(monitor.statement)}"')
-    lines.append(_instantiate_line(monitor.instancing, monitor.binder_attr))
-    if monitor.alphabet:
-        lines.append("alphabet " + ", ".join(p.text() for p in monitor.alphabet))
-    lines.append(f"initial {monitor.initial}")
-    for state in monitor.states:
-        flag = " error" if state in monitor.error_states else ""
-        lines.append(f"state {state}{flag}:")
-        for t in monitor.transitions:
-            if t.source == state:
-                lines.append(f"  on {t.pattern.text()} -> {t.target}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _serialize(monitor)

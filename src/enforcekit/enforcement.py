@@ -24,10 +24,6 @@ from .policy import (
     EventPattern,
     InputRef,
     PolicySpec,
-    Transition,
-    index_patterns,
-    index_transitions,
-    instance_key_for,
 )
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "ModuleCounts",
     "EditRecord",
     "EnforcementReport",
-    "instance_key",
     "enforce_event",
     "enforce_trace",
 ]
@@ -64,9 +59,10 @@ class UnknownModuleError(LookupError):
 class AutomatonInstance:
     """One live automaton: a policy instance at a key, in some state.
 
-    ``bindings`` accumulates binder variable values observed by this
+    ``bindings`` accumulates binder variable values routed to this
     instance, so broadcast events (which carry no binder themselves) can
-    still synthesize events that mention the bound value.
+    still synthesize events that mention the bound value. The transition
+    table is the policy's, built once for all its instances.
     """
 
     policy: PolicySpec
@@ -75,7 +71,7 @@ class AutomatonInstance:
     bindings: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._table = index_transitions(self.policy.automaton.transitions)
+        self._transition = self.policy.core.transition
 
     def step(self, event: Event) -> list[Event]:
         """Consume one event; advance state and return the emitted events.
@@ -84,16 +80,11 @@ class AutomatonInstance:
         emits the event unchanged, suppress emits nothing. The state is
         unchanged in either case.
         """
-        chosen: Transition | None = None
-        for t in self._table.get((self.current, event.kind, event.name), ()):
-            if t.pattern.matches(event):
-                chosen = t
-                break
+        chosen = self._transition(self.current, event)
         if chosen is None:
             if self.policy.automaton.default is DefaultAction.ALLOW:
                 return [event]
             return []
-        self.bindings.update(chosen.pattern.bind(event))
         self.current = chosen.target
         assert chosen.output is not None
         return _instantiate_template(chosen.output.items, event, self.bindings)
@@ -141,19 +132,13 @@ class ProactiveModule:
     active: bool = True
     instances: dict[tuple[str, ...], AutomatonInstance] = field(default_factory=dict)
 
-    def __post_init__(self):
-        self._alpha_index = index_patterns(self.policy.alphabet)
-
     @property
     def name(self) -> str:
         return self.policy.name
 
     def alphabet_match(self, event: Event) -> EventPattern | None:
         """First alphabet pattern matching the event, or None."""
-        for pattern in self._alpha_index.get((event.kind, event.name), ()):
-            if pattern.matches(event):
-                return pattern
-        return None
+        return self.policy.core.match(event)
 
     def reset(self) -> None:
         """Forget every instance; fresh ones start at the initial state."""
@@ -162,25 +147,22 @@ class ProactiveModule:
     def _select_instances(
         self, event: Event, pattern: EventPattern
     ) -> list[AutomatonInstance]:
-        """Instances addressed by a matching event (created lazily).
+        """Instances addressed by a matching event, created lazily.
 
-        Under per-binder instancing, an event matching a binder-free pattern
-        broadcasts to every existing instance of its component, in ascending
-        key order. It creates none: with no instances it simply passes.
+        :meth:`AutomatonCore.route` picks the keys; a broadcast creates no
+        instance, so with none live it simply passes.
         """
-        spec = self.policy
-        key = instance_key_for(event, spec.instancing, spec.binder_attr, pattern)
-        if key is None:
-            keys = sorted(k for k in self.instances if k and k[0] == event.component)
-            return [self.instances[k] for k in keys]
-        instance = self.instances.get(key)
-        if instance is None:
-            instance = AutomatonInstance(spec, key, spec.automaton.initial)
-            self.instances[key] = instance
-        bound = pattern.binder()
-        if bound is not None:
-            instance.bindings[bound[1]] = event.attrs[bound[0]]
-        return [instance]
+        keys, bindings = self.policy.core.route(event, pattern, self.instances)
+        selected = []
+        for key in keys:
+            instance = self.instances.get(key)
+            if instance is None:
+                instance = AutomatonInstance(self.policy, key, self.policy.core.initial)
+                self.instances[key] = instance
+            if bindings:
+                instance.bindings.update(bindings)
+            selected.append(instance)
+        return selected
 
 
 @dataclass
@@ -286,23 +268,6 @@ class ModuleRegistry:
             module.reset()
 
 
-def instance_key(event: Event, spec: PolicySpec) -> tuple[str, ...] | None:
-    """Instance key a matching event selects under the policy's instancing.
-
-    Returns ``()`` for singleton, ``(component,)`` for per-component, and
-    ``(component, value)`` for per-binder; ``None`` means broadcast (the
-    matched pattern has no binder under per-binder instancing). Raises
-    :class:`DispatchError` if the event matches no alphabet pattern or lacks
-    the binder attribute the matched pattern requires.
-    """
-    for pattern in index_patterns(spec.alphabet).get((event.kind, event.name), ()):
-        if pattern.matches(event):
-            return instance_key_for(event, spec.instancing, spec.binder_attr, pattern)
-    raise DispatchError(
-        f"event {event.literal()} does not match the alphabet of policy {spec.name}"
-    )
-
-
 def _apply_module(
     module: ProactiveModule,
     event: Event,
@@ -340,11 +305,7 @@ def _apply_module(
             report.records.append(
                 EditRecord(origin_seq, module.name, SUPPRESS, event.literal())
             )
-        for synth in pre:
-            report.records.append(
-                EditRecord(origin_seq, module.name, INSERT, synth.literal())
-            )
-        for synth in post:
+        for synth in pre + post:
             report.records.append(
                 EditRecord(origin_seq, module.name, INSERT, synth.literal())
             )
@@ -411,7 +372,9 @@ def enforce_trace(
 
     Instances persist across the events of one call, so the registry
     carries history; callers wanting a fresh run should use a fresh
-    registry or call ``registry.reset()`` first.
+    registry or call ``registry.reset()`` first. An event that cannot be
+    routed to an instance (see :meth:`AutomatonCore.route`) stops the run
+    with an :class:`EnforcementError` carrying its seq.
     """
     report = EnforcementReport.for_registry(registry)
     out: list[Event] = []

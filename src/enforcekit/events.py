@@ -59,6 +59,23 @@ def _check_ident(value: str, what: str) -> None:
         )
 
 
+class _Attrs(dict):
+    """A read-only dict: the attributes an :class:`Event` owns.
+
+    Events built from another event's attributes (``dataclasses.replace``,
+    renumbering) share them instead of copying, which is safe only
+    because nothing can change them.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("event attributes are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class Event:
     """One intercepted occurrence: a lifecycle callback or an API call.
@@ -67,7 +84,9 @@ class Event:
     rather than observed from the application. ``attrs`` carries call
     arguments worth dispatching on (for example ``service=S1``); it is
     serialized sorted by key, so two events that differ only in attribute
-    insertion order compare and serialize identically.
+    insertion order compare and serialize identically. The event keeps a
+    read-only copy of ``attrs``, so the caller's dict can change afterwards
+    without changing the event.
     """
 
     kind: EventKind
@@ -82,6 +101,8 @@ class Event:
         _check_ident(self.component, "component")
         if self.seq < 0:
             raise ValueError(f"seq must be non-negative, got {self.seq}")
+        if type(self.attrs) is not _Attrs:
+            object.__setattr__(self, "attrs", _Attrs(self.attrs))
         for key, value in self.attrs.items():
             _check_ident(key, "attribute key")
             _check_ident(value, f"attribute value for {key!r}")

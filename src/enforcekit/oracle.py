@@ -17,17 +17,15 @@ from typing import Iterator
 from .enforcement import ModuleRegistry, enforce_trace
 from .events import Event, Trace
 from .policy import (
+    AutomatonCore,
     Diagnostic,
     DispatchError,
     EventPattern,
     Instancing,
     PolicySpec,
     Transition,
-    _check_states,
+    _keyed_core,
     _normalize_transitions,
-    index_patterns,
-    index_transitions,
-    instance_key_for,
     nondeterminism_diagnostics,
     unreachable_diagnostics,
 )
@@ -50,7 +48,8 @@ class MonitorAutomaton:
 
     The monitor is total over its alphabet: an alphabet event with no
     matching transition self-loops. Events outside the alphabet are
-    invisible. Instances are keyed exactly like policy instances.
+    invisible. Instances are keyed exactly like policy instances: both
+    build the same :class:`AutomatonCore`.
     """
 
     name: str
@@ -62,47 +61,27 @@ class MonitorAutomaton:
     instancing: Instancing = Instancing.SINGLETON
     binder_attr: str | None = None
     statement: str = ""
+    core: AutomatonCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        transitions = tuple(self.transitions)
-        states = _check_states(self.states, self.initial, transitions)
+        states = tuple(self.states)
+        transitions = _normalize_transitions(states, tuple(self.transitions))
+        error_states = frozenset(self.error_states)
         object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "transitions", _normalize_transitions(states, transitions)
-        )
-        object.__setattr__(self, "error_states", frozenset(self.error_states))
+        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        if "\n" in self.statement or "\r" in self.statement:
-            raise ValueError("statement must be a single line")
-        for state in self.error_states:
+        object.__setattr__(self, "error_states", error_states)
+        for state in error_states:
             if state not in states:
                 raise ValueError(f"unknown state {state}")
-        for t in self.transitions:
+        for t in transitions:
             if t.output is not None:
                 raise ValueError("monitor transitions must not carry outputs")
-            if t.source in self.error_states:
+            if t.source in error_states:
                 raise ValueError(
                     f"error state {t.source} must not have outgoing transitions"
                 )
-            if t.pattern not in self.alphabet:
-                raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
-        if self.instancing is Instancing.PER_BINDER:
-            if not self.binder_attr:
-                raise ValueError("per-binder instancing requires a binder attribute")
-            binder_keys = {p.binder()[0] for p in self.alphabet if p.binder()}
-            if not binder_keys:
-                raise ValueError(
-                    "per-binder instancing requires at least one alphabet "
-                    "pattern with a binder"
-                )
-            stray = binder_keys - {self.binder_attr}
-            if stray:
-                raise ValueError(
-                    f"binder on attribute {sorted(stray)[0]!r} does not match "
-                    f"per-binder key {self.binder_attr!r}"
-                )
-        elif self.binder_attr is not None:
-            raise ValueError("binder_attr is only meaningful with per-binder instancing")
+        object.__setattr__(self, "core", _keyed_core("monitor", self, self))
 
 
 @dataclass(frozen=True)
@@ -131,46 +110,32 @@ def check(trace: Trace, monitor: MonitorAutomaton) -> list[Violation]:
     """Replay a trace against a monitor; one violation per error entry.
 
     The replay is deterministic and total: alphabet events with no matching
-    transition self-loop, events outside the alphabet (or that cannot be
-    keyed to an instance) are ignored, and error states absorb. Violations
-    of a trace prefix are a prefix of the full trace's violations.
+    transition self-loop, events outside the alphabet are ignored, and error
+    states absorb. An event that cannot be keyed to an instance is skipped;
+    :meth:`AutomatonCore.route` states that rule. Violations of a trace
+    prefix are a prefix of the full trace's violations.
     """
-    alpha_index = index_patterns(monitor.alphabet)
-    trans_index = index_transitions(monitor.transitions)
+    core = monitor.core
     errors = monitor.error_states
     states: dict[tuple[str, ...], str] = {}
     violations: list[Violation] = []
     for event in trace:
-        pattern = None
-        for candidate in alpha_index.get((event.kind, event.name), ()):
-            if candidate.matches(event):
-                pattern = candidate
-                break
+        pattern = core.match(event)
         if pattern is None:
             continue
         try:
-            key = instance_key_for(
-                event, monitor.instancing, monitor.binder_attr, pattern
-            )
+            keys, _bindings = core.route(event, pattern, states)
         except DispatchError:
             continue
-        if key is None:
-            keys = sorted(k for k in states if k and k[0] == event.component)
-        else:
-            states.setdefault(key, monitor.initial)
-            keys = [key]
-        for instance_key in keys:
-            current = states[instance_key]
+        for key in keys:
+            current = states.setdefault(key, core.initial)
             if current in errors:
                 continue
-            target = current
-            for t in trans_index.get((current, event.kind, event.name), ()):
-                if t.pattern.matches(event):
-                    target = t.target
-                    break
-            states[instance_key] = target
-            if target in errors:
-                violations.append(Violation(event.seq, instance_key, target))
+            t = core.transition(current, event)
+            if t is not None:
+                states[key] = t.target
+                if t.target in errors:
+                    violations.append(Violation(event.seq, key, t.target))
     return violations
 
 

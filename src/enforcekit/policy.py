@@ -5,13 +5,17 @@ consume intercepted events and emit an output sequence: the event itself, a
 replacement, nothing (suppression), or the event surrounded by synthesized
 events (insertion). Instances of the automaton are keyed per policy: one
 global instance, one per component, or one per bound attribute value.
+
+Policies and monitors are the same keyed automaton, one with outputs and
+one without; :class:`AutomatonCore` is the part they share: validation,
+the alphabet and transition indexes, and routing to instance keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Iterable, Union
 
 from .events import Event, EventKind, _check_ident
 
@@ -32,9 +36,9 @@ __all__ = [
     "Instancing",
     "PolicySpec",
     "DispatchError",
+    "AutomatonCore",
     "patterns_overlap",
     "validate_policy",
-    "instance_key_for",
 ]
 
 
@@ -138,23 +142,6 @@ class EventPattern:
                 if event.attrs.get(key) != constraint.value:
                     return False
         return True
-
-    def bind(self, event: Event) -> dict[str, str]:
-        """Binder variable assignment for a matching event.
-
-        Raises :class:`DispatchError` if the event lacks the bound attribute.
-        """
-        bound = self.binder()
-        if bound is None:
-            return {}
-        key, var = bound
-        value = event.attrs.get(key)
-        if value is None:
-            raise DispatchError(
-                f"event {event.literal()} matches pattern '{self.text()}' "
-                f"but lacks binder attribute {key!r}"
-            )
-        return {var: value}
 
     def text(self) -> str:
         """Concrete syntax, e.g. ``api registerService{service=$s}``."""
@@ -316,13 +303,138 @@ class Instancing(Enum):
     PER_BINDER = "per-binder"
 
 
+InstanceKey = tuple[str, ...]
+
+
+class AutomatonCore:
+    """The keyed-automaton runtime that policies and monitors share.
+
+    Built once per spec by :func:`_keyed_core`: the alphabet indexed by
+    (kind, name), the transitions indexed by (state, kind, name), and the
+    instancing that routes a matched event to instance keys. What a step
+    does with the chosen transition stays with the caller: edit outputs
+    and the default action for the enforcer, self-loops and absorbing
+    error states for monitors.
+    """
+
+    __slots__ = ("initial", "instancing", "alphabet", "transitions")
+
+    def __init__(
+        self,
+        initial: str,
+        instancing: Instancing,
+        alphabet: Iterable[EventPattern],
+        transitions: tuple[Transition, ...],
+    ):
+        self.initial = initial
+        self.instancing = instancing
+        self.alphabet: dict[tuple[EventKind, str], list[EventPattern]] = {}
+        for pattern in alphabet:
+            self.alphabet.setdefault((pattern.kind, pattern.name), []).append(pattern)
+        self.transitions = index_transitions(transitions)
+
+    def match(self, event: Event) -> EventPattern | None:
+        """First alphabet pattern matching the event, or None."""
+        for pattern in self.alphabet.get((event.kind, event.name), ()):
+            if pattern.matches(event):
+                return pattern
+        return None
+
+    def transition(self, state: str, event: Event) -> Transition | None:
+        """First transition out of ``state`` matching the event, or None."""
+        for t in self.transitions.get((state, event.kind, event.name), ()):
+            if t.pattern.matches(event):
+                return t
+        return None
+
+    def route(
+        self, event: Event, pattern: EventPattern, live: Iterable[InstanceKey]
+    ) -> tuple[list[InstanceKey], dict[str, str]]:
+        """Instance keys an event matching ``pattern`` addresses, and its binding.
+
+        The key is ``()`` for singleton, ``(component,)`` for per-component
+        and ``(component, value)`` for per-binder instancing, where value is
+        the attribute the pattern's binder names. Under per-binder
+        instancing a binder-free pattern broadcasts: it addresses the keys
+        in ``live`` that belong to the event's component, in ascending
+        order, and creates none. The binding maps the pattern's binder
+        variable to the event's value, when the event carries one.
+
+        Missing binder attribute: an event that matches a binder pattern
+        under per-binder instancing but lacks the bound attribute cannot be
+        keyed, and routing it raises :class:`DispatchError`. ``check``
+        skips such an event, so a monitor stays total over any trace;
+        ``enforce_trace`` fails with an ``EnforcementError`` that carries
+        the event's seq.
+        """
+        bound = pattern.binder()
+        bindings: dict[str, str] = {}
+        if bound is not None:
+            attr, var = bound
+            value = event.attrs.get(attr)
+            if value is not None:
+                bindings[var] = value
+            elif self.instancing is Instancing.PER_BINDER:
+                raise DispatchError(
+                    f"event {event.literal()} matches pattern '{pattern.text()}' "
+                    f"but lacks binder attribute {attr!r}"
+                )
+        if self.instancing is Instancing.SINGLETON:
+            return [()], bindings
+        if self.instancing is Instancing.PER_COMPONENT:
+            return [(event.component,)], bindings
+        if bound is None:
+            component = event.component
+            return sorted(k for k in live if k[0] == component), bindings
+        return [(event.component, value)], bindings
+
+
+def _keyed_core(what: str, spec, automaton) -> AutomatonCore:
+    """Check the rules policies and monitors share, then build their core.
+
+    ``spec`` supplies the name, alphabet, instancing, binder attribute and
+    statement; ``automaton`` the states, initial state and transitions.
+    ``what`` names the document kind ("policy" or "monitor") in errors.
+    """
+    alphabet, instancing, binder_attr = spec.alphabet, spec.instancing, spec.binder_attr
+    transitions = automaton.transitions
+    _check_ident(spec.name, f"{what} name")
+    _check_states(automaton.states, automaton.initial, transitions)
+    if "\n" in spec.statement or "\r" in spec.statement:
+        raise ValueError("statement must be a single line")
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("duplicate alphabet pattern")
+    for t in transitions:
+        if t.pattern not in alphabet:
+            raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
+    if instancing is Instancing.PER_BINDER:
+        if not binder_attr:
+            raise ValueError("per-binder instancing requires a binder attribute")
+        binder_keys = {p.binder()[0] for p in alphabet if p.binder()}
+        if not binder_keys:
+            raise ValueError(
+                "per-binder instancing requires at least one alphabet "
+                "pattern with a binder"
+            )
+        stray = binder_keys - {binder_attr}
+        if stray:
+            raise ValueError(
+                f"binder on attribute {sorted(stray)[0]!r} does not match "
+                f"per-binder key {binder_attr!r}"
+            )
+    elif binder_attr is not None:
+        raise ValueError("binder_attr is only meaningful with per-binder instancing")
+    return AutomatonCore(automaton.initial, instancing, alphabet, transitions)
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """A named, instantiable enforcement policy.
 
     ``alphabet`` is the set of event patterns the policy observes; events
     matching no alphabet pattern pass through enforcement untouched. Every
-    transition pattern must be one of the alphabet patterns.
+    transition pattern must be one of the alphabet patterns. ``core`` is
+    built once, here, and shared by every instance of the policy.
     """
 
     name: str
@@ -331,35 +443,11 @@ class PolicySpec:
     instancing: Instancing = Instancing.SINGLETON
     binder_attr: str | None = None
     statement: str = ""
+    core: AutomatonCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_ident(self.name, "policy name")
-        alphabet = tuple(self.alphabet)
-        object.__setattr__(self, "alphabet", alphabet)
-        if "\n" in self.statement or "\r" in self.statement:
-            raise ValueError("statement must be a single line")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("duplicate alphabet pattern")
-        for t in self.automaton.transitions:
-            if t.pattern not in alphabet:
-                raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
-        if self.instancing is Instancing.PER_BINDER:
-            if not self.binder_attr:
-                raise ValueError("per-binder instancing requires a binder attribute")
-            binder_keys = {p.binder()[0] for p in alphabet if p.binder()}
-            if not binder_keys:
-                raise ValueError(
-                    "per-binder instancing requires at least one alphabet "
-                    "pattern with a binder"
-                )
-            stray = binder_keys - {self.binder_attr}
-            if stray:
-                raise ValueError(
-                    f"binder on attribute {sorted(stray)[0]!r} does not match "
-                    f"per-binder key {self.binder_attr!r}"
-                )
-        elif self.binder_attr is not None:
-            raise ValueError("binder_attr is only meaningful with per-binder instancing")
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "core", _keyed_core("policy", self, self.automaton))
 
 
 def patterns_overlap(a: EventPattern, b: EventPattern) -> bool:
@@ -433,7 +521,7 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
     diagnostics += unreachable_diagnostics(
         automaton.states, automaton.initial, automaton.transitions
     )
-    alphabet_names = {(p.kind, p.name) for p in spec.alphabet}
+    alphabet_names = spec.core.alphabet
     for t in automaton.transitions:
         assert t.output is not None
         for item in t.output.items:
@@ -455,45 +543,6 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
                 )
             )
     return diagnostics
-
-
-def instance_key_for(
-    event: Event,
-    instancing: Instancing,
-    binder_attr: str | None,
-    pattern: EventPattern,
-) -> tuple[str, ...] | None:
-    """Instance key selected by a matching event, or None for broadcast.
-
-    Broadcast (None) happens only under per-binder instancing when the
-    matched pattern carries no binder: the event then addresses every
-    existing instance of its component.
-    """
-    if instancing is Instancing.SINGLETON:
-        return ()
-    if instancing is Instancing.PER_COMPONENT:
-        return (event.component,)
-    bound = pattern.binder()
-    if bound is None:
-        return None
-    key_attr, _var = bound
-    value = event.attrs.get(key_attr)
-    if value is None:
-        raise DispatchError(
-            f"event {event.literal()} matches pattern '{pattern.text()}' "
-            f"but lacks binder attribute {key_attr!r}"
-        )
-    return (event.component, value)
-
-
-def index_patterns(
-    patterns: tuple[EventPattern, ...]
-) -> dict[tuple[EventKind, str], tuple[EventPattern, ...]]:
-    """Group patterns by (kind, name) for fast alphabet lookups."""
-    table: dict[tuple[EventKind, str], list[EventPattern]] = {}
-    for pattern in patterns:
-        table.setdefault((pattern.kind, pattern.name), []).append(pattern)
-    return {key: tuple(group) for key, group in table.items()}
 
 
 def index_transitions(

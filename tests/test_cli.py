@@ -369,6 +369,19 @@ class TestVerify:
             "shrink the alphabet or --max-len" in err
         )
 
+    def test_unroutable_universe_event_is_unusable(self, capsys, monkeypatch):
+        # registerService without its service attribute cannot be keyed.
+        monkeypatch.chdir(ROOT)
+        code, _, err = _run(
+            capsys,
+            *"verify -p catalog/osgi_unregister.policy -m catalog/osgi.monitor "
+            "-e api:registerService@B1 -e cb:stop@B1".split(),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "seq 1: event api:registerService@B1" in err
+        assert "Traceback" not in err
+
     def test_bad_event_literal(self, capsys):
         code, _, err = _run(
             capsys,

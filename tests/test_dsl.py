@@ -154,6 +154,12 @@ class TestSemanticErrors:
         with pytest.raises(PolicySemanticError, match="'\\$in' cannot be used"):
             parse_policy(text)
 
+    @pytest.mark.parametrize("doc", ["policy", "monitor"])
+    def test_duplicate_alphabet_pattern(self, doc):
+        text = f"{doc} M alphabet api a, api a initial S state S: end"
+        with pytest.raises(PolicySemanticError, match="duplicate alphabet pattern"):
+            parse_document(text)
+
     def test_per_binder_without_binder_pattern(self):
         text = "policy P instantiate per-binder k alphabet cb a initial S state S: end"
         with pytest.raises(PolicySemanticError, match="per-binder"):
@@ -247,3 +253,38 @@ def _policies(draw):
 @given(_policies())
 def test_random_policy_round_trip(spec):
     assert parse_policy(serialize_policy(spec)) == spec
+
+
+# Random well-formed monitors: error states (which have no outgoing
+# transitions) and both keyings that need no binder.
+
+
+@st.composite
+def _monitors(draw):
+    states = tuple(draw(_state_names))
+    errors = frozenset(draw(st.lists(st.sampled_from(states), unique=True)))
+    sources = [state for state in states if state not in errors]
+    transitions = []
+    if sources:
+        for _ in range(draw(st.integers(0, 4))):
+            source = draw(st.sampled_from(sources))
+            target = draw(st.sampled_from(states))
+            pattern = draw(st.sampled_from(_patterns))
+            transitions.append(Transition(source, pattern, target, None))
+    return MonitorAutomaton(
+        name=draw(st.sampled_from(["M", "Mon.1", "Leak-Check"])),
+        states=states,
+        initial=draw(st.sampled_from(states)),
+        error_states=errors,
+        transitions=tuple(transitions),
+        alphabet=tuple(_patterns),
+        instancing=draw(st.sampled_from([Instancing.SINGLETON, Instancing.PER_COMPONENT])),
+        statement=draw(st.sampled_from(["", "no leak", 'quote " and \\ pass'])),
+    )
+
+
+@given(_monitors())
+def test_random_monitor_round_trip(monitor):
+    text = serialize_monitor(monitor)
+    assert parse_monitor(text) == monitor
+    assert parse_document(text) == monitor

@@ -1,8 +1,11 @@
 """Proactive enforcement pipeline: instances, fan-out, chaining, reports."""
 
+import doctest
+
 import pytest
 from hypothesis import given, strategies as st
 
+import enforcekit
 from enforcekit import (
     DispatchError,
     EditAutomaton,
@@ -18,11 +21,14 @@ from enforcekit import (
     Trace,
     Transition,
     UnknownModuleError,
+    check,
     enforce_event,
     enforce_trace,
+    parse_monitor,
     parse_policy,
     serialize_trace,
 )
+from enforcekit import policy as policy_module
 from enforcekit.enforcement import INSERT, AutomatonInstance
 
 from conftest import CATALOG
@@ -437,6 +443,40 @@ class TestEnforceTrace:
         second, second_report = enforce_trace(_registry(CAMERA, OSGI), trace)
         assert serialize_trace(first) == serialize_trace(second)
         assert first_report.records == second_report.records
+
+
+def test_transition_index_is_built_once_per_spec(monkeypatch):
+    calls = []
+    original = policy_module.index_transitions
+
+    def counting(transitions):
+        calls.append(transitions)
+        return original(transitions)
+
+    monkeypatch.setattr(policy_module, "index_transitions", counting)
+    policy = parse_policy((CATALOG / "osgi_unregister.policy").read_text())
+    monitor = parse_monitor((CATALOG / "osgi.monitor").read_text())
+    events = [
+        Event.api("registerService", f"B{b}", service=f"S{s}")
+        for b in range(10)
+        for s in range(10)
+    ]
+    events += [Event.cb("stop", f"B{b}") for b in range(10)]
+    registry = _registry(policy)
+    enforced, report = enforce_trace(registry, Trace.renumbered(events))
+    assert len(registry.module("OsgiUnregister").instances) == 100
+    assert report.total.inserted == 100
+    assert check(enforced, monitor) == []
+    assert len(check(Trace.renumbered(events), monitor)) == 100
+    assert len(calls) <= 2  # one policy, one monitor
+
+
+def test_package_docstring_example_runs():
+    parser = doctest.DocTestParser()
+    example = parser.get_doctest(enforcekit.__doc__, {}, "enforcekit", None, 0)
+    result = doctest.DocTestRunner().run(example)
+    assert result.attempted > 0
+    assert result.failed == 0
 
 
 def _bundle_reference_model(events) -> list[Event]:

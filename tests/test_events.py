@@ -111,6 +111,16 @@ def test_event_validates_identifiers():
         Event.api("ok", "A1", k="bad value")
 
 
+def test_event_keeps_a_read_only_copy_of_attrs():
+    attrs = {"service": "S1"}
+    event = Event(EventKind.API_CALL, "registerService", "B1", attrs=attrs)
+    attrs["service"] = "bad value!"
+    assert event.literal() == "api:registerService@B1{service=S1}"
+    assert event.attrs == {"service": "S1"}
+    with pytest.raises(TypeError):
+        event.attrs["service"] = "S2"
+
+
 def test_trace_rejects_decreasing_seq():
     with pytest.raises(TraceValidationError):
         Trace((Event.api("a", "C", 2), Event.api("b", "C", 1)))

@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from enforcekit import (
     EditAutomaton,
+    EnforcementError,
     Event,
     EventKind,
     EventPattern,
     EventUniverse,
+    ModuleRegistry,
     MonitorAutomaton,
     OutputTemplate,
     PolicySpec,
@@ -17,6 +19,7 @@ from enforcekit import (
     Violation,
     brute_force_verify,
     check,
+    enforce_trace,
     enumerate_traces,
     parse_monitor,
 )
@@ -112,12 +115,21 @@ class TestCheck:
             Violation(3, ("B1", "S2"), "LEAKED"),
         ]
 
-    def test_unkeyable_events_are_ignored(self, osgi_monitor):
-        # registerService without its service attribute cannot be routed.
+    def test_unkeyable_events_are_ignored(self, osgi_monitor, osgi_policy):
+        # registerService without its service attribute cannot be routed:
+        # the monitor skips it and keeps replaying the other instances,
+        # while the enforcer stops at its seq.
         trace = Trace.renumbered(
-            [Event.api("registerService", "B1"), Event.cb("stop", "B1")]
+            [
+                Event.api("registerService", "B1", service="S1"),
+                Event.api("registerService", "B1"),
+                Event.cb("stop", "B1"),
+            ]
         )
-        assert check(trace, osgi_monitor) == []
+        assert check(trace, osgi_monitor) == [Violation(3, ("B1", "S1"), "LEAKED")]
+        with pytest.raises(EnforcementError, match="lacks binder attribute") as err:
+            enforce_trace(ModuleRegistry.from_policies([osgi_policy]), trace)
+        assert err.value.seq == 2
 
     def test_singleton_key_prints_as_placeholder(self):
         boom = EventPattern(API, "boom")

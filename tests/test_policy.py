@@ -22,8 +22,7 @@ from enforcekit import (
     Transition,
     validate_policy,
 )
-from enforcekit.enforcement import instance_key
-from enforcekit.policy import patterns_overlap
+from enforcekit.policy import AutomatonCore, patterns_overlap
 
 
 def pat(kind: EventKind, name: str, **constraints) -> EventPattern:
@@ -38,6 +37,20 @@ API = EventKind.API_CALL
 CB = EventKind.CALLBACK
 
 
+def route(event: Event, pattern: EventPattern, instancing: Instancing, live=()):
+    """Route through a bare core over ``pattern`` alone."""
+    core = AutomatonCore("S", instancing, (pattern,), ())
+    return core.route(event, pattern, live)
+
+
+def instance_keys(event: Event, spec: PolicySpec, live=()):
+    """Keys the spec's core routes an event to, after matching its alphabet."""
+    pattern = spec.core.match(event)
+    assert pattern is not None
+    keys, _bindings = spec.core.route(event, pattern, live)
+    return keys
+
+
 class TestEventPattern:
     def test_literal_constraints_gate_matching(self):
         p = pat(API, "registerService", service="S1")
@@ -48,10 +61,10 @@ class TestEventPattern:
     def test_binder_constraints_do_not_gate_matching(self):
         p = pat(API, "registerService", service="$s")
         assert p.matches(Event.api("registerService", "B1", service="S1"))
-        # Matching is not gated, but binding the missing attribute fails.
+        # Matching is not gated, but routing the missing attribute fails.
         assert p.matches(Event.api("registerService", "B1"))
         with pytest.raises(DispatchError, match="lacks binder attribute 'service'"):
-            p.bind(Event.api("registerService", "B1"))
+            route(Event.api("registerService", "B1"), p, Instancing.PER_BINDER)
 
     def test_kind_and_name_must_match_exactly(self):
         p = pat(API, "Camera.open")
@@ -60,7 +73,11 @@ class TestEventPattern:
 
     def test_bind_returns_variable_assignment(self):
         p = pat(API, "setTimer", timer="$t")
-        assert p.bind(Event.api("setTimer", "C1", timer="T9")) == {"t": "T9"}
+        event = Event.api("setTimer", "C1", timer="T9")
+        assert route(event, p, Instancing.PER_BINDER) == ([("C1", "T9")], {"t": "T9"})
+        # Keying ignores the binder outside per-binder instancing; the
+        # binding is still carried.
+        assert route(event, p, Instancing.PER_COMPONENT) == ([("C1",)], {"t": "T9"})
 
     def test_at_most_one_binder(self):
         with pytest.raises(ValueError, match="at most one binder"):
@@ -256,25 +273,27 @@ class TestValidatePolicy:
 class TestInstanceKeys:
     def test_singleton_key_is_empty(self):
         spec = _camera_spec(instancing=Instancing.SINGLETON)
-        assert instance_key(Event.api("Camera.open", "A1"), spec) == ()
+        assert instance_keys(Event.api("Camera.open", "A1"), spec) == [()]
 
     def test_per_component_key(self, camera_policy):
-        assert instance_key(Event.api("Camera.open", "A1"), camera_policy) == ("A1",)
+        assert instance_keys(Event.api("Camera.open", "A1"), camera_policy) == [("A1",)]
 
     def test_per_binder_key(self, osgi_policy):
         event = Event.api("registerService", "B1", service="S2")
-        assert instance_key(event, osgi_policy) == ("B1", "S2")
+        assert instance_keys(event, osgi_policy) == [("B1", "S2")]
 
     def test_binder_free_pattern_broadcasts(self, osgi_policy):
-        assert instance_key(Event.cb("stop", "B1"), osgi_policy) is None
+        stop = Event.cb("stop", "B1")
+        assert instance_keys(stop, osgi_policy) == []
+        live = {("B1", "S2"): 0, ("B2", "S1"): 0, ("B1", "S1"): 0}
+        assert instance_keys(stop, osgi_policy, live) == [("B1", "S1"), ("B1", "S2")]
 
     def test_missing_binder_attribute_is_a_dispatch_error(self, osgi_policy):
         with pytest.raises(DispatchError, match="lacks binder attribute 'service'"):
-            instance_key(Event.api("registerService", "B1"), osgi_policy)
+            instance_keys(Event.api("registerService", "B1"), osgi_policy)
 
-    def test_off_alphabet_event_is_a_dispatch_error(self, camera_policy):
-        with pytest.raises(DispatchError, match="does not match the alphabet"):
-            instance_key(Event.cb("onResume", "A1"), camera_policy)
+    def test_off_alphabet_event_matches_no_pattern(self, camera_policy):
+        assert camera_policy.core.match(Event.cb("onResume", "A1")) is None
 
 
 # --- soundness of the determinism check ---------------------------------
