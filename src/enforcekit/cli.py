@@ -93,23 +93,15 @@ def _trace_file_text(trace: Trace) -> str:
     return text + "\n" if text else ""
 
 
-def _load_policy(path: str) -> PolicySpec:
+def _load(path: str, kind: type[PolicySpec] | type[MonitorAutomaton]):
+    """Parse a policy or monitor file; ``kind`` is the document class wanted."""
     try:
         document = parse_document(_read_text(path))
     except ValueError as err:
         raise _CliError(f"{path}: {err}") from err
-    if not isinstance(document, PolicySpec):
-        raise _CliError(f"{path}: expected a policy, found a monitor")
-    return document
-
-
-def _load_monitor(path: str) -> MonitorAutomaton:
-    try:
-        document = parse_document(_read_text(path))
-    except ValueError as err:
-        raise _CliError(f"{path}: {err}") from err
-    if not isinstance(document, MonitorAutomaton):
-        raise _CliError(f"{path}: expected a monitor, found a policy")
+    if not isinstance(document, kind):
+        wanted, found = ("policy", "monitor") if kind is PolicySpec else ("monitor", "policy")
+        raise _CliError(f"{path}: expected a {wanted}, found a {found}")
     return document
 
 
@@ -132,7 +124,7 @@ def _depth_limit(args: argparse.Namespace) -> int:
 
 
 def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
-    policies = [_load_policy(path) for path in args.policy]
+    policies = [_load(path, PolicySpec) for path in args.policy]
     registry = ModuleRegistry.from_policies(policies, insert_depth_limit=_depth_limit(args))
     for name in args.deactivate:
         try:
@@ -323,8 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     unusable, the universe exceeds the enumeration budget, or the policy
     cannot enforce a trace of the universe (named with the failing seq).
     """
-    policy = _load_policy(args.policy)
-    monitor = _load_monitor(args.monitor)
+    policy = _load(args.policy, PolicySpec)
+    monitor = _load(args.monitor, MonitorAutomaton)
     for source, diagnostics in (
         (args.policy, validate_policy(policy)),
         (args.monitor, validate_monitor(monitor)),

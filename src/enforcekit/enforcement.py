@@ -59,9 +59,10 @@ class UnknownModuleError(LookupError):
 class AutomatonInstance:
     """One live automaton: a policy instance at a key, in some state.
 
-    ``bindings`` accumulates binder variable values routed to this
-    instance, so broadcast events (which carry no binder themselves) can
-    still synthesize events that mention the bound value. The transition
+    ``bindings`` accumulates binder variable values from the events routed
+    to this instance and from the patterns of the transitions it takes, so
+    broadcast events (which carry no binder themselves) can still
+    synthesize events that mention the bound value. The transition
     table is the policy's, built once for all its instances.
     """
 
@@ -85,6 +86,9 @@ class AutomatonInstance:
             if self.policy.automaton.default is DefaultAction.ALLOW:
                 return [event]
             return []
+        bound = chosen.pattern.binder()
+        if bound is not None and bound[0] in event.attrs:
+            self.bindings[bound[1]] = event.attrs[bound[0]]
         self.current = chosen.target
         assert chosen.output is not None
         return _instantiate_template(chosen.output.items, event, self.bindings)
@@ -305,7 +309,11 @@ def _apply_module(
             report.records.append(
                 EditRecord(origin_seq, module.name, SUPPRESS, event.literal())
             )
-        for synth in pre + post:
+        for synth in pre:
+            report.records.append(
+                EditRecord(origin_seq, module.name, INSERT, synth.literal())
+            )
+        for synth in post:
             report.records.append(
                 EditRecord(origin_seq, module.name, INSERT, synth.literal())
             )

@@ -75,6 +75,10 @@ class _Attrs(dict):
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
 
+    def __reduce__(self):
+        # pickle and copy would otherwise refill the copy item by item.
+        return (_Attrs, (dict(self),))
+
 
 @dataclass(frozen=True)
 class Event:

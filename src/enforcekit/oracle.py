@@ -24,10 +24,10 @@ from .policy import (
     Instancing,
     PolicySpec,
     Transition,
+    _check_states,
     _keyed_core,
     _normalize_transitions,
-    nondeterminism_diagnostics,
-    unreachable_diagnostics,
+    automaton_diagnostics,
 )
 
 __all__ = [
@@ -64,8 +64,9 @@ class MonitorAutomaton:
     core: AutomatonCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = tuple(self.states)
-        transitions = _normalize_transitions(states, tuple(self.transitions))
+        transitions = tuple(self.transitions)
+        states = _check_states(self.states, self.initial, transitions)
+        transitions = _normalize_transitions(states, transitions)
         error_states = frozenset(self.error_states)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", transitions)
@@ -99,11 +100,7 @@ class Violation:
 
 def validate_monitor(monitor: MonitorAutomaton) -> list[Diagnostic]:
     """Nondeterminism errors and unreachable-state warnings for a monitor."""
-    diagnostics = nondeterminism_diagnostics(monitor.states, monitor.transitions)
-    diagnostics += unreachable_diagnostics(
-        monitor.states, monitor.initial, monitor.transitions
-    )
-    return diagnostics
+    return automaton_diagnostics(monitor)
 
 
 def check(trace: Trace, monitor: MonitorAutomaton) -> list[Violation]:

@@ -393,13 +393,13 @@ def _keyed_core(what: str, spec, automaton) -> AutomatonCore:
     """Check the rules policies and monitors share, then build their core.
 
     ``spec`` supplies the name, alphabet, instancing, binder attribute and
-    statement; ``automaton`` the states, initial state and transitions.
+    statement; ``automaton`` the initial state and transitions, whose
+    states its own constructor has checked with :func:`_check_states`.
     ``what`` names the document kind ("policy" or "monitor") in errors.
     """
     alphabet, instancing, binder_attr = spec.alphabet, spec.instancing, spec.binder_attr
     transitions = automaton.transitions
     _check_ident(spec.name, f"{what} name")
-    _check_states(automaton.states, automaton.initial, transitions)
     if "\n" in spec.statement or "\r" in spec.statement:
         raise ValueError("statement must be a single line")
     if len(set(alphabet)) != len(alphabet):
@@ -478,8 +478,14 @@ def _reachable(states, initial: str, transitions) -> set[str]:
     return seen
 
 
-def nondeterminism_diagnostics(states, transitions) -> list[Diagnostic]:
-    """Pairs of same-state transitions that can match the same event."""
+def automaton_diagnostics(automaton) -> list[Diagnostic]:
+    """Findings policies and monitors share, from states and transitions.
+
+    ``automaton`` is an :class:`EditAutomaton` or a monitor. Errors: pairs
+    of same-state transitions that can match the same event. Warnings:
+    states unreachable from the initial state.
+    """
+    states, transitions = automaton.states, automaton.transitions
     out: list[Diagnostic] = []
     for state in states:
         outgoing = [t for t in transitions if t.source == state]
@@ -493,19 +499,16 @@ def nondeterminism_diagnostics(states, transitions) -> list[Diagnostic]:
                             f"and '{second.pattern.text()}' can match the same event",
                         )
                     )
-    return out
-
-
-def unreachable_diagnostics(states, initial: str, transitions) -> list[Diagnostic]:
-    reached = _reachable(states, initial, transitions)
-    return [
+    reached = _reachable(states, automaton.initial, transitions)
+    out += [
         Diagnostic(
             Severity.WARNING,
-            f"state {state} is unreachable from initial state {initial}",
+            f"state {state} is unreachable from initial state {automaton.initial}",
         )
         for state in states
         if state not in reached
     ]
+    return out
 
 
 def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
@@ -517,10 +520,7 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
     and suppressed lifecycle callbacks.
     """
     automaton = spec.automaton
-    diagnostics = nondeterminism_diagnostics(automaton.states, automaton.transitions)
-    diagnostics += unreachable_diagnostics(
-        automaton.states, automaton.initial, automaton.transitions
-    )
+    diagnostics = automaton_diagnostics(automaton)
     alphabet_names = spec.core.alphabet
     for t in automaton.transitions:
         assert t.output is not None

@@ -402,6 +402,26 @@ class TestEnforceTrace:
         assert exc.value.seq == 1
         assert "lacks binder attribute 'service'" in str(exc.value)
 
+    @pytest.mark.parametrize("first", ["api a", "api a{x=one}"])
+    def test_taken_transition_binds_its_own_binder(self, first):
+        # The first alphabet pattern an event matches need not be the
+        # pattern of the transition it takes; the template must still see
+        # the value the taken transition binds, not a stale or missing one.
+        policy = parse_policy(
+            f"policy Echo instantiate per-component alphabet {first}, api a{{x=$v}} "
+            "initial S state S: on api a{x=$v} -> S emit [api b{x=$v}, $in] end"
+        )
+        trace = Trace.renumbered(
+            [Event.api("a", "C1", x="two"), Event.api("a", "C1", x="one")]
+        )
+        out, _report = enforce_trace(_registry(policy), trace)
+        assert _literals(out.events) == [
+            "!api:b@C1{x=two}",
+            "api:a@C1{x=two}",
+            "!api:b@C1{x=one}",
+            "api:a@C1{x=one}",
+        ]
+
     def test_suppression_shortens_the_trace(self):
         trace = Trace.renumbered(
             [Event.api("noisy", "C1"), Event.api("quiet", "C1")]

@@ -1,5 +1,8 @@
 """Event model: trace parsing/serialization and lifecycle replay."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +122,8 @@ def test_event_keeps_a_read_only_copy_of_attrs():
     assert event.attrs == {"service": "S1"}
     with pytest.raises(TypeError):
         event.attrs["service"] = "S2"
+    assert copy.deepcopy(event) == event
+    assert pickle.loads(pickle.dumps(event)) == event
 
 
 def test_trace_rejects_decreasing_seq():
