@@ -98,6 +98,9 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             [],
         ),
         "check-missing": (["check", "<tmp>/missing.policy"], []),
+        "check-then-missing": (
+            ["check", "catalog/camera_release.policy", "<tmp>/missing.policy"], []
+        ),
         "enforce-stdout": (
             ["enforce", "-p", "catalog/camera_release.policy", "<tmp>/leaky.trace"], []
         ),
