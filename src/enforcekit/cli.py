@@ -8,8 +8,11 @@ Four subcommands cover the workflow end to end:
 * ``verify``    exhaustively check a policy against a monitor up to a bound
 
 Exit codes are part of the interface and kept distinct per subcommand; see
-each ``cmd_*`` docstring. ``--format structured`` switches the report
-output to line-delimited ``key=value`` records for scripting.
+each ``cmd_*`` docstring. Each subcommand reports a list of ``(type,
+fields)`` records, which :func:`_render` prints as text (one template per
+subcommand and record type) or, with ``--format structured``, as
+``type=<type> k=v ...`` lines for scripting. Errors are not records:
+:func:`main` prints each one as a single ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .dsl import parse_document
 from .enforcement import (
+    EditRecord,
     EnforcementError,
-    EnforcementReport,
     ModuleRegistry,
     UnknownModuleError,
     enforce_trace,
@@ -35,15 +39,11 @@ from .events import (
     parse_trace,
     serialize_trace,
 )
-from .oracle import (
-    EventUniverse,
-    MonitorAutomaton,
-    brute_force_verify,
-    validate_monitor,
-)
-from .policy import DispatchError, PolicySpec, Severity, validate_policy
+from .oracle import EventUniverse, MonitorAutomaton, brute_force_verify, validate_monitor
+from .policy import DispatchError, Diagnostic, PolicySpec, Severity, validate_policy
 from .simulator import (
-    LeakReport,
+    DeniedAcquire,
+    LeakRecord,
     ScenarioError,
     ScenarioParseError,
     parse_scenario,
@@ -76,8 +76,9 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
-        raise _CliError(f"cannot read {path}: {err.strerror or err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise _CliError(f"cannot read {path}: {reason}") from err
 
 
 def _write_text(path: str, text: str) -> None:
@@ -95,8 +96,9 @@ def _trace_file_text(trace: Trace) -> str:
 
 def _load(path: str, kind: type[PolicySpec] | type[MonitorAutomaton]):
     """Parse a policy or monitor file; ``kind`` is the document class wanted."""
+    text = _read_text(path)
     try:
-        document = parse_document(_read_text(path))
+        document = parse_document(text)
     except ValueError as err:
         raise _CliError(f"{path}: {err}") from err
     if not isinstance(document, kind):
@@ -134,74 +136,77 @@ def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
     return registry
 
 
-def _print_report(report: EnforcementReport, structured: bool, stream) -> None:
-    total = report.total
-    if structured:
-        for name, counts in report.counts.items():
-            print(
-                f"type=module name={name} inserted={counts.inserted} "
-                f"suppressed={counts.suppressed} passed={counts.passed}",
-                file=stream,
-            )
-        for record in report.records:
-            print(f"type=edit {record}", file=stream)
-        print(
-            f"type=total inserted={total.inserted} suppressed={total.suppressed} "
-            f"passed={total.passed} delta={report.delta}",
-            file=stream,
-        )
-        return
-    for name, counts in report.counts.items():
-        print(
-            f"module {name}: inserted={counts.inserted} "
-            f"suppressed={counts.suppressed} passed={counts.passed}",
-            file=stream,
-        )
-    for record in report.records:
-        print(f"edit {record}", file=stream)
-    print(
-        f"total: inserted={total.inserted} suppressed={total.suppressed} "
-        f"passed={total.passed} delta={report.delta:+d}",
-        file=stream,
-    )
+# Text form of each report record, per subcommand: ``check`` and
+# ``simulate`` both report a ``summary`` record, in different words.
+_TEXT = {
+    "check": {
+        "diagnostic": "{file}: {severity}: {message}".format,
+        "summary": "{file}: {errors} errors, {warnings} warnings".format,
+    },
+    "enforce": {
+        "module": "module {name}: inserted={inserted} suppressed={suppressed} "
+        "passed={passed}".format,
+        "edit": lambda **edit: f"edit {EditRecord(**edit)}",
+        "total": "total: inserted={inserted} suppressed={suppressed} "
+        "passed={passed} delta={delta:+d}".format,
+    },
+    "simulate": {
+        "leak": lambda run, **leak: f"{run} leak: {LeakRecord(**leak)}",
+        "denied": lambda run, **denial: f"{run} denied: {DeniedAcquire(**denial)}",
+        "summary": "leaks: {baseline_leaks} -> {enforced_leaks}".format,
+    },
+    "verify": {
+        "verdict": "traces checked: {traces}\nsound: {sound}\n"
+        "transparent: {transparent}".format,
+        "counterexample": lambda kind, trace: (
+            f"counterexample ({kind}): {trace.replace(';', ' ')}"
+        ),
+    },
+}
+
+Record = tuple[str, dict]
+
+
+def _render(records: list[Record], args: argparse.Namespace, stream=None) -> None:
+    """Print ``(type, fields)`` records in the --format the user chose.
+
+    Structured output is ``type=<type> k=v ...`` with the fields in order
+    and ``None`` fields left out; text output goes through the
+    subcommand's template for the record type.
+    """
+    templates = _TEXT[args.command]
+    for kind, fields in records:
+        if args.format == "text":
+            line = templates[kind](**fields)
+        else:
+            pairs = (f"{key}={value}" for key, value in fields.items() if value is not None)
+            line = " ".join([f"type={kind}", *pairs])
+        print(line, file=stream)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Validate each file; 0 clean (warnings allowed), 1 errors, 2 unreadable."""
-    structured = args.format == "structured"
     worst = EXIT_OK
     for path in args.files:
         text = _read_text(path)
-        errors = warnings = 0
         try:
             document = parse_document(text)
         except ValueError as err:
-            errors = 1
-            if structured:
-                print(f"type=diagnostic file={path} severity=error message={err}")
-            else:
-                print(f"{path}: error: {err}")
+            diagnostics = [Diagnostic(Severity.ERROR, str(err))]
         else:
-            if isinstance(document, PolicySpec):
-                diagnostics = validate_policy(document)
-            else:
-                diagnostics = validate_monitor(document)
-            errors = sum(d.severity is Severity.ERROR for d in diagnostics)
-            warnings = len(diagnostics) - errors
-            for diag in diagnostics:
-                if structured:
-                    print(
-                        f"type=diagnostic file={path} severity={diag.severity.value} "
-                        f"message={diag.message}"
-                    )
-                else:
-                    print(f"{path}: {diag}")
-        if structured:
-            print(f"type=summary file={path} errors={errors} warnings={warnings}")
-        else:
-            print(f"{path}: {errors} errors, {warnings} warnings")
+            validate = validate_policy if isinstance(document, PolicySpec) else validate_monitor
+            diagnostics = validate(document)
+        errors = sum(d.severity is Severity.ERROR for d in diagnostics)
+        records: list[Record] = [
+            ("diagnostic", {"file": path, "severity": d.severity.value, "message": d.message})
+            for d in diagnostics
+        ]
+        records.append(
+            ("summary", {"file": path, "errors": errors, "warnings": len(diagnostics) - errors})
+        )
+        _render(records, args)
         if errors:
-            worst = max(worst, EXIT_FAILURE)
+            worst = EXIT_FAILURE
     return worst
 
 
@@ -222,41 +227,19 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     try:
         enforced, report = enforce_trace(registry, trace)
     except EnforcementError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _CliError(str(err), EXIT_FAILURE) from err
+    text = _trace_file_text(enforced)
     if args.out:
-        _write_text(args.out, _trace_file_text(enforced))
-        report_stream = sys.stdout
+        _write_text(args.out, text)
     else:
-        text = serialize_trace(enforced)
-        if text:
-            print(text)
-        report_stream = sys.stderr
-    _print_report(report, args.format == "structured", report_stream)
+        sys.stdout.write(text)
+    records: list[Record] = [
+        ("module", {"name": name, **asdict(counts)}) for name, counts in report.counts.items()
+    ]
+    records += [("edit", asdict(record)) for record in report.records]
+    records.append(("total", {**asdict(report.total), "delta": report.delta}))
+    _render(records, args, sys.stdout if args.out else sys.stderr)
     return EXIT_OK
-
-
-def _leak_lines(run: str, report: LeakReport, structured: bool) -> list[str]:
-    lines = []
-    for leak in report.leaks:
-        if structured:
-            key = f" key={leak.key}" if leak.key else ""
-            lines.append(
-                f"type=leak run={run} component={leak.component} state={leak.state} "
-                f"resource={leak.resource}{key} seq={leak.seq}"
-            )
-        else:
-            lines.append(f"{run} leak: {leak}")
-    for denial in report.denied:
-        if structured:
-            key = f" key={denial.key}" if denial.key else ""
-            lines.append(
-                f"type=denied run={run} component={denial.component} "
-                f"resource={denial.resource}{key} holder={denial.holder} seq={denial.seq}"
-            )
-        else:
-            lines.append(f"{run} denied: {denial}")
-    return lines
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -274,37 +257,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ScenarioParseError as err:
         raise _CliError(f"{args.scenario}: {err}") from err
-    structured = args.format == "structured"
     try:
         baseline_trace, baseline = run_scenario(scenario)
         enforced_trace, enforced = run_scenario(scenario, registry)
     except (ScenarioError, EnforcementError, DispatchError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise _CliError(str(err), EXIT_FAILURE) from err
     if args.out:
         _write_text(args.out, _trace_file_text(enforced_trace))
         _write_text(args.out + ".unenforced", _trace_file_text(baseline_trace))
-    for line in _leak_lines("baseline", baseline, structured):
-        print(line)
-    for line in _leak_lines("enforced", enforced, structured):
-        print(line)
-    if structured:
-        print(
-            f"type=summary baseline_leaks={len(baseline.leaks)} "
-            f"enforced_leaks={len(enforced.leaks)} "
-            f"baseline_denied={len(baseline.denied)} "
-            f"enforced_denied={len(enforced.denied)}"
-        )
-    else:
-        print(f"leaks: {len(baseline.leaks)} -> {len(enforced.leaks)}")
+    runs = (("baseline", baseline), ("enforced", enforced))
+    records: list[Record] = [
+        (kind, {"run": run, **asdict(item)})
+        for run, report in runs
+        for kind, items in (("leak", report.leaks), ("denied", report.denied))
+        for item in items
+    ]
+    records.append(("summary", {
+        "baseline_leaks": len(baseline.leaks),
+        "enforced_leaks": len(enforced.leaks),
+        "baseline_denied": len(baseline.denied),
+        "enforced_denied": len(enforced.denied),
+    }))
+    _render(records, args)
     return EXIT_LEAKS_REMAIN if enforced.leaks else EXIT_OK
-
-
-def _format_counterexample(trace: Trace, structured: bool) -> str:
-    literals = [event.literal() for event in trace]
-    if structured:
-        return ";".join(literals)
-    return " ".join(literals) if literals else "(empty)"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -339,27 +314,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdict = brute_force_verify(policy, monitor, universe)
     except EnforcementError as err:
         raise _CliError(f"cannot enforce a trace of the universe: {err}") from err
-    structured = args.format == "structured"
     yes_no = {True: "yes", False: "no"}
-    if structured:
-        print(
-            f"type=verdict traces={verdict.traces_checked} "
-            f"sound={yes_no[verdict.sound]} transparent={yes_no[verdict.transparent]}"
-        )
-    else:
-        print(f"traces checked: {verdict.traces_checked}")
-        print(f"sound: {yes_no[verdict.sound]}")
-        print(f"transparent: {yes_no[verdict.transparent]}")
+    records: list[Record] = [("verdict", {
+        "traces": verdict.traces_checked,
+        "sound": yes_no[verdict.sound],
+        "transparent": yes_no[verdict.transparent],
+    })]
     for kind, counterexamples in (
         ("soundness", verdict.sound_counterexamples),
         ("transparency", verdict.transparent_counterexamples),
     ):
         for trace in counterexamples:
-            rendered = _format_counterexample(trace, structured)
-            if structured:
-                print(f"type=counterexample kind={kind} trace={rendered}")
-            else:
-                print(f"counterexample ({kind}): {rendered}")
+            literals = ";".join(event.literal() for event in trace)
+            records.append(("counterexample", {"kind": kind, "trace": literals}))
+    _render(records, args)
     return EXIT_OK if verdict.ok else EXIT_FAILURE
 
 

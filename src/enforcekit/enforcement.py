@@ -380,15 +380,16 @@ def enforce_trace(
 
     Instances persist across the events of one call, so the registry
     carries history; callers wanting a fresh run should use a fresh
-    registry or call ``registry.reset()`` first. An event that cannot be
-    routed to an instance (see :meth:`AutomatonCore.route`) stops the run
-    with an :class:`EnforcementError` carrying its seq.
+    registry or call ``registry.reset()`` first. Any failure on an input
+    event, including one that cannot be routed to an instance (see
+    :meth:`AutomatonCore.route`), stops the run with an
+    :class:`EnforcementError` whose message starts with that event's seq.
     """
     report = EnforcementReport.for_registry(registry)
     out: list[Event] = []
     for event in trace:
         try:
             out.extend(_dispatch(registry, event, 0, 0, (), report, event.seq))
-        except DispatchError as err:
+        except (DispatchError, EnforcementError) as err:
             raise EnforcementError(f"seq {event.seq}: {err}", seq=event.seq) from err
     return Trace.renumbered(out), report

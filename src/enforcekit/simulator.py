@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .enforcement import EnforcementReport, ModuleRegistry, UnknownModuleError, enforce_event
-from .events import Event, EventKind, LifecycleModel, Trace
+from .events import Event, EventKind, LifecycleModel, Trace, _check_ident
 
 __all__ = [
     "UnknownLifecycleError",
@@ -245,8 +245,9 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
     Directives: ``scenario <name>``, ``lifecycle <model>``,
     ``component <id>``, ``lc <component> <callback>``,
     ``call <component> <api-name> [k=v ...]`` and ``toggle <module> on|off``.
-    Components must be declared before use; blank lines and ``#`` comments
-    are skipped.
+    Component ids, API names and attribute keys and values must be event
+    identifiers, and components must be declared before use; blank lines
+    and ``#`` comments are skipped.
     """
     name = default_name
     lifecycle: LifecycleModel | None = None
@@ -256,6 +257,17 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
     def need(parts: list[str], count: int, usage: str, lineno: int) -> None:
         if len(parts) != count:
             raise ScenarioParseError(f"expected '{usage}'", lineno)
+
+    checked: set[str] = set()  # scripts repeat a few names many times
+
+    def ident(value: str, what: str, lineno: int) -> str:
+        if value not in checked:
+            try:
+                _check_ident(value, what)
+            except ValueError as err:
+                raise ScenarioParseError(str(err), lineno) from None
+            checked.add(value)
+        return value
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -276,7 +288,7 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             need(parts, 2, "component <id>", lineno)
             if parts[1] in components:
                 raise ScenarioParseError(f"duplicate component {parts[1]!r}", lineno)
-            components.append(parts[1])
+            components.append(ident(parts[1], "component", lineno))
         elif directive == "lc":
             need(parts, 3, "lc <component> <callback>", lineno)
             if parts[1] not in components:
@@ -296,8 +308,10 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
                     raise ScenarioParseError(
                         f"expected attribute 'key=value', got {token!r}", lineno
                     )
-                attrs[key] = value
-            steps.append(ApiCallStep(parts[1], parts[2], attrs))
+                attrs[ident(key, "attribute key", lineno)] = ident(
+                    value, "attribute value", lineno
+                )
+            steps.append(ApiCallStep(parts[1], ident(parts[2], "event name", lineno), attrs))
         elif directive == "toggle":
             need(parts, 3, "toggle <module> on|off", lineno)
             if parts[2] not in ("on", "off"):

@@ -1,11 +1,16 @@
 """Command line interface: exit codes, output streams, report formats."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enforcekit import cli
 
@@ -207,7 +212,21 @@ class TestEnforce:
             capsys, "enforce", "-p", first, "-p", second, "--depth", "1", str(trace)
         )
         assert code == 1
-        assert "error: insertion depth limit 1 exceeded (module chain: L0 -> L1)" in err
+        assert err == "error: seq 1: insertion depth limit 1 exceeded (module chain: L0 -> L1)\n"
+
+    def test_unbound_binder_reports_the_seq(self, capsys, tmp_path):
+        policy = tmp_path / "timer.policy"
+        policy.write_text(
+            "policy T\ninstantiate per-component\nalphabet api setTimer, cb unmount\n"
+            "initial CLEAR\nstate CLEAR:\n  on api setTimer -> SET emit [$in]\n"
+            "state SET:\n  on cb unmount -> CLEAR emit [api clearTimer{timer=$t}, $in]\nend\n"
+        )
+        trace = tmp_path / "timer.trace"
+        trace.write_text("1 api:setTimer@C1\n2 cb:unmount@C1\n")
+        code, out, err = _run(capsys, "enforce", "-p", str(policy), str(trace))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: seq 2: unbound binder '$t' in synthesized event ")
 
     def test_env_var_sets_the_depth_limit(
         self, capsys, monkeypatch, tmp_path, chained_policies
@@ -331,6 +350,13 @@ class TestSimulate:
         assert code == 2
         assert f"error: {scn}: line 2: " in err
 
+    def test_bad_scenario_identifier_exits_two(self, capsys, tmp_path):
+        scn = tmp_path / "bad.scn"
+        scn.write_text("lifecycle activity\ncomponent A1\ncall A1 Camera!open\n")
+        code, _, err = _run(capsys, "simulate", str(scn))
+        assert code == 2
+        assert err.startswith(f"error: {scn}: line 3: event name 'Camera!open'")
+
 
 class TestVerify:
     def test_camera_policy_is_verified(self, capsys):
@@ -424,6 +450,128 @@ class TestVerify:
         code, _, err = _run(capsys, *_verify_args(CAMERA_POLICY, max_len=0))
         assert code == 2
         assert "max_len must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "BIN"],
+        ["enforce", "-p", "BIN", PLUMERIA],
+        ["enforce", "-p", CAMERA_POLICY, "BIN"],
+        ["simulate", "BIN"],
+        ["verify", "-p", CAMERA_POLICY, "-m", "BIN", "-e", "cb:onPause@A1"],
+    ],
+    ids=["check", "enforce-policy", "enforce-trace", "simulate-scenario", "verify-monitor"],
+)
+def test_non_utf8_input_is_unreadable(capsys, tmp_path, argv):
+    path = tmp_path / "bin"
+    path.write_bytes(b"policy P\n\xff\n")
+    code, out, err = _run(capsys, *(str(path) if arg == "BIN" else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+# Exit codes of the README table, per subcommand.
+DOCUMENTED_EXITS = {
+    "check": {0, 1, 2},
+    "enforce": {0, 1, 2},
+    "simulate": {0, 1, 2, 3},
+    "verify": {0, 1, 2},
+}
+POLICY_TEXTS = [(CATALOG / name).read_text() for name in CATALOG_POLICIES]
+MONITOR_TEXTS = [(CATALOG / name).read_text() for name in CATALOG_MONITORS]
+SCENARIO_TEXTS = [path.read_text() for path in sorted(SCENARIOS.glob("*.scn"))]
+TRACE_TEXTS = [
+    "1 api:Camera.open@A1\n2 cb:onPause@A1\n",
+    "1 api:registerService@B1 service=S1\n2 api:setTimer@C1 timer=T1\n"
+    "3 cb:stop@B1\n4 cb:componentWillUnmount@C1\n",
+]
+DAMAGE = [b"\xff", b"\xc3", b"!", b"$x", b"{", b"}", b"=", b",", b" ", b"\n", b"->", b"@"]
+TOKENS = [b"A!1", b"Camera!open", b"mode=fast!", b"k=", b"=v", b"$s", b"service=S1", b"A1", b"\xff"]
+LITERALS = [
+    "api:Camera.open@A1",
+    "cb:onPause@A1",
+    "api:registerService@B1{service=S1}",
+    "api:registerService@B1",
+    "cb:stop@B1",
+    "api:setTimer@C1{timer=T1}",
+    "cb:componentWillUnmount@C1",
+    "api:Camera!open@A1",
+    "not a literal",
+]
+
+
+@st.composite
+def _scenario_text(draw) -> str:
+    """A scenario script whose steps may carry bad identifiers."""
+    components = draw(st.lists(st.sampled_from(["A1", "B1", "A!1"]), min_size=1, unique=True))
+    lifecycle = draw(st.sampled_from(["activity", "osgi-bundle", "react-component"]))
+    lines = [f"lifecycle {lifecycle}", *(f"component {c}" for c in components)]
+    for _ in range(draw(st.integers(0, 6))):
+        component = draw(st.sampled_from(components))
+        if draw(st.booleans()):
+            callback = draw(st.sampled_from(["onCreate", "onPause", "start", "stop"]))
+            lines.append(f"lc {component} {callback}")
+        else:
+            name = draw(st.sampled_from(["Camera.open", "registerService", "Camera!open"]))
+            attrs = draw(st.lists(st.sampled_from(["service=S1", "mode=fast!", "k="]), max_size=2))
+            lines.append(" ".join(["call", component, name, *attrs]))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _damaged(draw, texts: st.SearchStrategy[str]) -> bytes:
+    """A drawn text, truncated, with bytes dropped, foreign bytes put in
+    or a space-separated token swapped for a bad identifier."""
+    data = draw(texts).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        how = draw(st.sampled_from(["cut", "drop", "insert", "swap"]))
+        if how == "cut":
+            data = data[:at]
+        elif how == "drop":
+            data = data[:at] + data[at + 1 :]
+        elif how == "insert":
+            data = data[:at] + draw(st.sampled_from(DAMAGE)) + data[at:]
+        else:
+            tokens = data.split(b" ")
+            tokens[at % len(tokens)] = draw(st.sampled_from(TOKENS))
+            data = b" ".join(tokens)
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    policy=_damaged(st.sampled_from(POLICY_TEXTS + MONITOR_TEXTS)),
+    monitor=_damaged(st.sampled_from(MONITOR_TEXTS)),
+    trace=_damaged(st.sampled_from(TRACE_TEXTS)),
+    scenario=_damaged(st.sampled_from(SCENARIO_TEXTS) | _scenario_text()),
+    literals=st.lists(st.sampled_from(LITERALS), min_size=1, max_size=3),
+)
+def test_no_subcommand_ends_in_a_traceback(policy, monitor, trace, scenario, literals):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"policy": policy, "monitor": monitor, "trace": trace, "scenario": scenario}
+        paths = {}
+        for role, data in files.items():
+            paths[role] = str(Path(tmp) / role)
+            Path(paths[role]).write_bytes(data)
+        events = [arg for literal in literals for arg in ("-e", literal)]
+        catalog = [arg for name in CATALOG_POLICIES for arg in ("-p", str(CATALOG / name))]
+        runs = [
+            ["check", paths["policy"], paths["monitor"]],
+            ["enforce", "-p", paths["policy"], paths["trace"]],
+            ["enforce", *catalog, paths["trace"]],
+            ["simulate", paths["scenario"]],
+            ["simulate", "-p", paths["policy"], paths["scenario"]],
+            ["verify", "-p", paths["policy"], "-m", paths["monitor"], *events, "--max-len", "2"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = cli.main(argv)
+            assert code in DOCUMENTED_EXITS[argv[0]], argv
 
 
 def _console_script(tmp_path) -> list[str]:

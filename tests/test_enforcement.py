@@ -219,6 +219,15 @@ class TestInsertionDepth:
         )
         assert exc.value.seq == 7
 
+    def test_enforce_trace_prefixes_the_input_seq(self):
+        registry = _registry(_chain_link(0), _chain_link(1), limit=1)
+        with pytest.raises(EnforcementError) as exc:
+            enforce_trace(registry, Trace((Event.api("p0", "C1", seq=7),)))
+        assert str(exc.value) == (
+            "seq 7: insertion depth limit 1 exceeded (module chain: P0 -> P1)"
+        )
+        assert exc.value.seq == 7
+
     def test_default_limit_stops_a_seventeen_module_chain(self):
         registry = ModuleRegistry.from_policies([_chain_link(i) for i in range(17)])
         with pytest.raises(EnforcementError) as exc:

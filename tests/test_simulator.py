@@ -142,6 +142,22 @@ class TestParseScenario:
         assert fragment in str(exc.value)
 
     @pytest.mark.parametrize(
+        "step, fragment",
+        [
+            ("component A!1", "component 'A!1' must be"),
+            ("call A1 Camera!open", "event name 'Camera!open' must be"),
+            ("call A1 Camera.open mode=fast!", "attribute value 'fast!' must be"),
+            ("call A1 Camera.open mo$de=fast", "attribute key 'mo$de' must be"),
+            ("call A1 Camera.open mode=", "attribute value '' must be"),
+        ],
+    )
+    def test_bad_identifiers_are_parse_errors(self, step, fragment):
+        with pytest.raises(ScenarioParseError) as exc:
+            parse_scenario(f"lifecycle activity\ncomponent A1\n{step}\n")
+        assert exc.value.line == 3
+        assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize(
         "name",
         [
             "plumeria-leak.scn",
