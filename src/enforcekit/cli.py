@@ -40,7 +40,7 @@ from .events import (
     serialize_trace,
 )
 from .oracle import EventUniverse, MonitorAutomaton, brute_force_verify, validate_monitor
-from .policy import DispatchError, Diagnostic, PolicySpec, Severity, validate_policy
+from .policy import Diagnostic, PolicySpec, Severity, validate_policy
 from .simulator import (
     DeniedAcquire,
     LeakRecord,
@@ -260,7 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         baseline_trace, baseline = run_scenario(scenario)
         enforced_trace, enforced = run_scenario(scenario, registry)
-    except (ScenarioError, EnforcementError, DispatchError) as err:
+    except ScenarioError as err:
         raise _CliError(str(err), EXIT_FAILURE) from err
     if args.out:
         _write_text(args.out, _trace_file_text(enforced_trace))

@@ -388,8 +388,20 @@ def enforce_trace(
     report = EnforcementReport.for_registry(registry)
     out: list[Event] = []
     for event in trace:
-        try:
-            out.extend(_dispatch(registry, event, 0, 0, (), report, event.seq))
-        except (DispatchError, EnforcementError) as err:
-            raise EnforcementError(f"seq {event.seq}: {err}", seq=event.seq) from err
+        out.extend(_enforce_input(registry, event, report))
     return Trace.renumbered(out), report
+
+
+def _enforce_input(
+    registry: ModuleRegistry, event: Event, report: EnforcementReport | None
+) -> list[Event]:
+    """:func:`enforce_event` for one event of an input trace.
+
+    Any failure, including an event that cannot be routed (see
+    :meth:`AutomatonCore.route`), raises an :class:`EnforcementError`
+    whose message starts with ``seq N: `` for the event's seq.
+    """
+    try:
+        return _dispatch(registry, event, 0, 0, (), report, event.seq)
+    except (DispatchError, EnforcementError) as err:
+        raise EnforcementError(f"seq {event.seq}: {err}", seq=event.seq) from err

@@ -64,7 +64,8 @@ class _Attrs(dict):
 
     Events built from another event's attributes (``dataclasses.replace``,
     renumbering) share them instead of copying, which is safe only
-    because nothing can change them.
+    because nothing can change them. For the same reason they can be
+    hashed, which makes :class:`Event` hashable.
     """
 
     __slots__ = ()
@@ -74,6 +75,9 @@ class _Attrs(dict):
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
 
     def __reduce__(self):
         # pickle and copy would otherwise refill the copy item by item.

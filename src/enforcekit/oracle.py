@@ -6,15 +6,28 @@ pipeline: a monitor says whether a trace violates a property, and bounded
 exhaustive enumeration over a concrete event universe establishes, up to
 that bound, that enforcement output never violates the property (soundness)
 and that compliant traces pass through untouched (transparency).
+
+The enumeration shares prefixes: each trace extends its parent's saved
+enforcement and monitor state by one event, so it costs one pipeline step
+plus monitor steps on the new input event and the events it emitted.
+Counterexamples are listed shortest first.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .enforcement import ModuleRegistry, enforce_trace
+# brute_force_verify no longer calls enforce_trace, but the benchmark's
+# tracer test expects this module to bind it (benchmarks/test_benchmark.py).
+from .enforcement import (
+    AutomatonInstance,
+    EnforcementError,
+    ModuleRegistry,
+    _enforce_input,
+    enforce_trace,  # noqa: F401
+)
 from .events import Event, Trace
 from .policy import (
     AutomatonCore,
@@ -106,33 +119,47 @@ def validate_monitor(monitor: MonitorAutomaton) -> list[Diagnostic]:
 def check(trace: Trace, monitor: MonitorAutomaton) -> list[Violation]:
     """Replay a trace against a monitor; one violation per error entry.
 
-    The replay is deterministic and total: alphabet events with no matching
-    transition self-loop, events outside the alphabet are ignored, and error
-    states absorb. An event that cannot be keyed to an instance is skipped;
-    :meth:`AutomatonCore.route` states that rule. Violations of a trace
-    prefix are a prefix of the full trace's violations.
+    The replay is deterministic and total, as :func:`_step_monitor` sets
+    out. Violations of a trace prefix are a prefix of the full trace's
+    violations.
     """
-    core = monitor.core
-    errors = monitor.error_states
     states: dict[tuple[str, ...], str] = {}
     violations: list[Violation] = []
     for event in trace:
-        pattern = core.match(event)
-        if pattern is None:
+        violations += _step_monitor(monitor, states, event)
+    return violations
+
+
+def _step_monitor(
+    monitor: MonitorAutomaton, states: dict[tuple[str, ...], str], event: Event
+) -> list[Violation]:
+    """Step the instances one event addresses; the violations it causes.
+
+    ``states`` maps instance keys to states and is updated in place.
+    Alphabet events with no matching transition self-loop, events outside
+    the alphabet are ignored, and error states absorb. An event that
+    cannot be keyed to an instance is skipped; :meth:`AutomatonCore.route`
+    states that rule.
+    """
+    core = monitor.core
+    pattern = core.match(event)
+    if pattern is None:
+        return []
+    try:
+        keys, _bindings = core.route(event, pattern, states)
+    except DispatchError:
+        return []
+    errors = monitor.error_states
+    violations: list[Violation] = []
+    for key in keys:
+        current = states.setdefault(key, core.initial)
+        if current in errors:
             continue
-        try:
-            keys, _bindings = core.route(event, pattern, states)
-        except DispatchError:
-            continue
-        for key in keys:
-            current = states.setdefault(key, core.initial)
-            if current in errors:
-                continue
-            t = core.transition(current, event)
-            if t is not None:
-                states[key] = t.target
-                if t.target in errors:
-                    violations.append(Violation(event.seq, key, t.target))
+        t = core.transition(current, event)
+        if t is not None:
+            states[key] = t.target
+            if t.target in errors:
+                violations.append(Violation(event.seq, key, t.target))
     return violations
 
 
@@ -166,16 +193,23 @@ def enumerate_traces(universe: EventUniverse) -> Iterator[Trace]:
     generated lazily, so memory stays constant regardless of the bound.
     """
     yield Trace(())
-    # Events are immutable, so the seq-numbered variants can be built once
-    # and shared by every trace that uses them.
-    variants = [
-        tuple(replace(e, seq=pos) for e in universe.alphabet)
-        for pos in range(1, universe.max_len + 1)
-    ]
+    variants = _positioned(universe)
     indices = range(len(universe.alphabet))
     for length in range(1, universe.max_len + 1):
         for combo in itertools.product(indices, repeat=length):
             yield Trace(tuple(variants[pos][idx] for pos, idx in enumerate(combo)))
+
+
+def _positioned(universe: EventUniverse) -> list[tuple[Event, ...]]:
+    """The alphabet at every position: ``[pos][i]`` has seq ``pos + 1``.
+
+    Events are immutable, so each variant is built once and shared by
+    every trace that uses it.
+    """
+    return [
+        tuple(replace(e, seq=pos) for e in universe.alphabet)
+        for pos in range(1, universe.max_len + 1)
+    ]
 
 
 @dataclass
@@ -205,20 +239,122 @@ def brute_force_verify(
     Sound: for every input trace, the enforced output has zero monitor
     violations. Transparent: every input the monitor already accepts is
     reproduced identically. The whole universe is always scanned; the first
-    ``counterexample_limit`` failing inputs of each kind are kept.
+    ``counterexample_limit`` failing inputs of each kind are kept, shortest
+    first and then in the alphabet's declaration order, the order of
+    :func:`enumerate_traces`. If some trace cannot be enforced, the
+    :class:`EnforcementError` of the first such trace in that order is
+    raised, as ``enforce_trace`` reports it.
+
+    Enforcement is online, so the output for ``t + [e]`` is the output
+    for ``t`` followed by one pipeline step on ``e``. The scan is a
+    depth-first walk over the traces that restores the parent trace's
+    saved state at each node: it costs one pipeline step per trace, plus
+    monitor steps on the new input event and on the events it emitted.
     """
     registry = ModuleRegistry.from_policies([policy])
-    verdict = Verdict(sound=True, transparent=True)
-    for trace in enumerate_traces(universe):
+    instances = registry.modules[0].instances
+    positioned = _positioned(universe)
+    max_len = universe.max_len
+    # Failing traces of each kind as alphabet indices, by length; the walk
+    # meets the traces of one length in declaration order.
+    unsound: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+    opaque: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
+    verdict = Verdict(sound=True, transparent=True, traces_checked=1)
+    failure: EnforcementError | None = None
+    failure_len = max_len + 1
+    path: list[int] = []  # alphabet indices of the current trace
+    inputs: list[Event] = []  # its events, seq 1..len
+    output: list[Event] = []  # their enforced output, not renumbered
+    # The empty trace (counted above) enforces to itself and violates
+    # nothing; its state is the fresh one every walk starts from.
+    root = _Node((), {}, {}, False, False, 0, 0)
+    children = range(len(universe.alphabet) - 1, -1, -1)  # popped in order
+    stack = [(1, i, root) for i in children]
+    while stack:
+        depth, idx, parent = stack.pop()
         verdict.traces_checked += 1
-        registry.reset()
-        enforced, _report = enforce_trace(registry, trace)
-        if check(enforced, monitor):
+        instances.clear()
+        for key, state, bindings in parent.instances:
+            instances[key] = AutomatonInstance(policy, key, state, dict(bindings))
+        event = positioned[depth - 1][idx]
+        del path[depth - 1 :], inputs[depth - 1 :], output[parent.out_len :]
+        path.append(idx)
+        inputs.append(event)
+        try:
+            emitted = _enforce_input(registry, event, None)
+        except EnforcementError as err:
+            # Every extension fails the same way, later in the order.
+            if depth < failure_len:
+                failure, failure_len = err, depth
+            continue
+        output += emitted
+        in_bad, out_bad, lcp = parent.in_bad, parent.out_bad, parent.lcp
+        in_states = out_states = None
+        if not out_bad:
+            out_states = dict(parent.out_states)
+            out_bad = any(_step_monitor(monitor, out_states, e) for e in emitted)
+            out_states = None if out_bad else out_states
+        if not in_bad:
+            in_states = dict(parent.in_states)
+            in_bad = bool(_step_monitor(monitor, in_states, event))
+            in_states = None if in_bad else in_states
+        if not in_bad:
+            # A mismatch inside the common length stays; otherwise one is
+            # a prefix of the other and the prefix may grow.
+            if lcp == min(parent.out_len, depth - 1):
+                end = min(len(output), depth)
+                while lcp < end and _same_but_seq(output[lcp], inputs[lcp]):
+                    lcp += 1
+            if lcp != depth or len(output) != depth:
+                verdict.transparent = False
+                _keep(opaque[depth], path, counterexample_limit)
+        if out_bad:
             verdict.sound = False
-            if len(verdict.sound_counterexamples) < counterexample_limit:
-                verdict.sound_counterexamples.append(trace)
-        if enforced.events != trace.events and not check(trace, monitor):
-            verdict.transparent = False
-            if len(verdict.transparent_counterexamples) < counterexample_limit:
-                verdict.transparent_counterexamples.append(trace)
+            _keep(unsound[depth], path, counterexample_limit)
+        if depth < max_len and depth + 1 < failure_len:
+            # The next node replaces these instances and copies the states,
+            # so the node can hold them without copying.
+            node = _Node(
+                tuple((k, i.current, i.bindings) for k, i in instances.items()),
+                in_states, out_states, in_bad, out_bad, len(output), lcp,
+            )
+            stack += [(depth + 1, i, node) for i in children]
+    if failure is not None:
+        raise failure
+
+    def shortest_first(by_len: list[list[tuple[int, ...]]]) -> list[Trace]:
+        paths = [p for same_len in by_len for p in same_len][:counterexample_limit]
+        return [Trace(tuple(positioned[n][i] for n, i in enumerate(p))) for p in paths]
+
+    verdict.sound_counterexamples = shortest_first(unsound)
+    verdict.transparent_counterexamples = shortest_first(opaque)
     return verdict
+
+
+class _Node(NamedTuple):
+    """What the walk saves of a trace for its extensions to restore.
+
+    ``instances`` holds (key, state, bindings) of the policy's live
+    instances; ``in_states`` and ``out_states`` are the monitor's instance
+    states on the input and on the output so far. A monitor whose flag is
+    set is not stepped again, because a violation stays one in every
+    extension, and its states are then None. ``lcp`` is the length of the
+    common prefix of input and output, ignoring seq.
+    """
+
+    instances: tuple[tuple[tuple[str, ...], str, dict[str, str]], ...]
+    in_states: dict[tuple[str, ...], str] | None
+    out_states: dict[tuple[str, ...], str] | None
+    in_bad: bool
+    out_bad: bool
+    out_len: int
+    lcp: int
+
+
+def _keep(bucket: list[tuple[int, ...]], path: list[int], limit: int) -> None:
+    if len(bucket) < limit:
+        bucket.append(tuple(path))
+
+
+def _same_but_seq(a: Event, b: Event) -> bool:
+    return a is b or replace(a, seq=b.seq) == b

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .enforcement import EnforcementReport, ModuleRegistry, UnknownModuleError, enforce_event
+from .enforcement import (
+    EnforcementError,
+    EnforcementReport,
+    ModuleRegistry,
+    UnknownModuleError,
+    enforce_event,
+)
 from .events import Event, EventKind, LifecycleModel, Trace, _check_ident
+from .policy import DispatchError
 
 __all__ = [
     "UnknownLifecycleError",
@@ -390,7 +397,8 @@ def run_scenario(
     for scenarios that misuse APIs. When a registry is given, every
     generated event runs through enforcement and the enforced output is
     what updates the resource state, so a synthesized release really frees
-    the resource before the leak check fires.
+    the resource before the leak check fires. A step that cannot be
+    executed or enforced raises :class:`ScenarioError` with its number.
     """
     model = scenario.lifecycle
     inactive = inactive_states(model)
@@ -401,7 +409,13 @@ def run_scenario(
     seq = 0
 
     def process(event: Event, step_no: int) -> None:
-        outputs = [event] if registry is None else enforce_event(registry, event)
+        if registry is None:
+            outputs = [event]
+        else:
+            try:
+                outputs = enforce_event(registry, event)
+            except (EnforcementError, DispatchError) as err:
+                raise ScenarioError(str(err), step_no) from err
         for out in outputs:
             state.apply(out, step_no, seq, report.denied)
         emitted.extend(outputs)

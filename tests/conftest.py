@@ -1,10 +1,25 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from enforcekit import (
+    INPUT,
+    PASS,
+    Binder,
+    DefaultAction,
+    EditAutomaton,
     Event,
+    EventKind,
+    EventPattern,
     EventUniverse,
+    Instancing,
+    Literal,
+    MonitorAutomaton,
+    OutputTemplate,
+    PolicySpec,
+    SynthEvent,
+    Transition,
     parse_monitor,
     parse_policy,
 )
@@ -60,3 +75,115 @@ def camera_alphabet() -> tuple[Event, ...]:
 @pytest.fixture(scope="session")
 def camera_universe_len3() -> EventUniverse:
     return EventUniverse(camera_alphabet(), max_len=3)
+
+
+# Random well-formed policies and monitors, built programmatically. Each
+# draws its patterns from one of two alphabets: plain patterns, or
+# patterns that bind a resource id, where the binder-free ``cb stop``
+# broadcasts under per-binder instancing.
+
+API = EventKind.API_CALL
+CB = EventKind.CALLBACK
+
+PLAIN_PATTERNS = (
+    EventPattern(CB, "onStop"),
+    EventPattern(API, "acquire"),
+    EventPattern(API, "release", (("mode", Literal("fast")),)),
+)
+BINDER_PATTERNS = (
+    EventPattern(API, "acquire", (("res", Binder("r")),)),
+    EventPattern(API, "release", (("res", Binder("r")),)),
+    EventPattern(CB, "stop"),
+)
+_OUTPUTS = {
+    PLAIN_PATTERNS: [
+        PASS,
+        OutputTemplate(()),
+        OutputTemplate(
+            (SynthEvent(API, "release", (("mode", Literal("fast")),)), INPUT)
+        ),
+        OutputTemplate((INPUT, SynthEvent(CB, "onStop"))),
+    ],
+    BINDER_PATTERNS: [
+        PASS,
+        OutputTemplate(()),
+        OutputTemplate((SynthEvent(API, "release", (("res", Binder("r")),)), INPUT)),
+        OutputTemplate((INPUT, SynthEvent(CB, "stop"))),
+    ],
+}
+_state_names = st.lists(
+    st.sampled_from(["S0", "S1", "S2", "S3"]), min_size=1, max_size=4, unique=True
+)
+
+
+def _keying(draw, patterns) -> dict:
+    """Instancing and binder attribute; only the binder alphabet can key per binder."""
+    modes = [Instancing.SINGLETON, Instancing.PER_COMPONENT]
+    if patterns is BINDER_PATTERNS:
+        modes.append(Instancing.PER_BINDER)
+    instancing = draw(st.sampled_from(modes))
+    binder_attr = "res" if instancing is Instancing.PER_BINDER else None
+    return {"instancing": instancing, "binder_attr": binder_attr}
+
+
+@st.composite
+def policies(draw, patterns=None):
+    """A policy over ``patterns`` (either alphabet when None)."""
+    if patterns is None:
+        patterns = draw(st.sampled_from([PLAIN_PATTERNS, BINDER_PATTERNS]))
+    states = tuple(draw(_state_names))
+    transitions = []
+    for _ in range(draw(st.integers(0, 4))):
+        source = draw(st.sampled_from(states))
+        target = draw(st.sampled_from(states))
+        pattern = draw(st.sampled_from(patterns))
+        output = draw(st.sampled_from(_OUTPUTS[patterns]))
+        transitions.append(Transition(source, pattern, target, output))
+    return PolicySpec(
+        name=draw(st.sampled_from(["P", "Q.R", "Pol-1"])),
+        automaton=EditAutomaton(
+            states=states,
+            initial=states[0],
+            transitions=tuple(transitions),
+            default=draw(st.sampled_from(list(DefaultAction))),
+        ),
+        alphabet=patterns,
+        statement=draw(st.sampled_from(["", "close before stop", 'quote " and \\ pass'])),
+        **_keying(draw, patterns),
+    )
+
+
+@st.composite
+def monitors(draw, patterns=None, *, can_fail=False):
+    """A monitor over ``patterns``, with error states that have no outgoing transitions.
+
+    With ``can_fail`` the initial state enters the error state ``BAD`` on
+    some alphabet pattern, so some trace violates the monitor.
+    """
+    if patterns is None:
+        patterns = draw(st.sampled_from([PLAIN_PATTERNS, BINDER_PATTERNS]))
+    states = tuple(draw(_state_names))
+    errors = frozenset(draw(st.lists(st.sampled_from(states), unique=True)))
+    initial = draw(st.sampled_from(states))
+    transitions = []
+    if can_fail:
+        states += ("BAD",)
+        errors = errors - {initial} | {"BAD"}
+        transitions.append(Transition(initial, draw(st.sampled_from(patterns)), "BAD", None))
+    sources = [state for state in states if state not in errors]
+    if sources:
+        for _ in range(draw(st.integers(0, 4))):
+            source = draw(st.sampled_from(sources))
+            target = draw(st.sampled_from(states))
+            pattern = draw(st.sampled_from(patterns))
+            transitions.append(Transition(source, pattern, target, None))
+    return MonitorAutomaton(
+        name=draw(st.sampled_from(["M", "Mon.1", "Leak-Check"])),
+        states=states,
+        initial=initial,
+        error_states=errors,
+        transitions=tuple(transitions),
+        alphabet=patterns,
+        statement=draw(st.sampled_from(["", "no leak", 'quote " and \\ pass'])),
+        **_keying(draw, patterns),
+    )

@@ -343,6 +343,18 @@ class TestSimulate:
         assert code == 1
         assert "error: step 1: onResume not enabled in state initial" in err
 
+    def test_enforcement_errors_name_the_step(self, capsys, tmp_path, chained_policies):
+        scn = tmp_path / "chain.scn"
+        scn.write_text("lifecycle activity\ncomponent A1\nlc A1 onCreate\ncall A1 p0\n")
+        first, second = chained_policies
+        code, _, err = _run(
+            capsys, "simulate", "-p", first, "-p", second, "--depth", "1", str(scn)
+        )
+        assert code == 1
+        assert err == (
+            "error: step 2: insertion depth limit 1 exceeded (module chain: L0 -> L1)\n"
+        )
+
     def test_unparseable_scenario_exits_two(self, capsys, tmp_path):
         scn = tmp_path / "bad.scn"
         scn.write_text("lifecycle activity\nwarp A1\n")

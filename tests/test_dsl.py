@@ -1,31 +1,23 @@
 """Policy language: parsing, semantic errors, and canonical serialization."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from enforcekit import (
     DefaultAction,
-    EditAutomaton,
     EventKind,
-    EventPattern,
-    INPUT,
     Instancing,
-    Literal,
     MonitorAutomaton,
-    OutputTemplate,
-    PASS,
     PolicyParseError,
     PolicySemanticError,
     PolicySpec,
-    SynthEvent,
-    Transition,
     parse_document,
     parse_monitor,
     parse_policy,
     serialize_monitor,
     serialize_policy,
 )
-from conftest import CATALOG, CATALOG_MONITORS, CATALOG_POLICIES
+from conftest import CATALOG, CATALOG_MONITORS, CATALOG_POLICIES, monitors, policies
 
 CAMERA_TEXT = (CATALOG / "camera_release.policy").read_text()
 
@@ -206,84 +198,16 @@ def test_minimal_policy_round_trip():
     assert reparsed == spec
 
 
-# Random well-formed policies: build the objects programmatically, then
-# check that serialize -> parse reproduces them exactly.
-
-_state_names = st.lists(
-    st.sampled_from(["S0", "S1", "S2", "S3"]), min_size=1, max_size=4, unique=True
-)
-_patterns = [
-    EventPattern(EventKind.CALLBACK, "onStop"),
-    EventPattern(EventKind.API_CALL, "acquire"),
-    EventPattern(EventKind.API_CALL, "release", (("mode", Literal("fast")),)),
-]
+# Random well-formed policies and monitors (see conftest): serialize ->
+# parse reproduces them exactly.
 
 
-@st.composite
-def _policies(draw):
-    states = tuple(draw(_state_names))
-    n_transitions = draw(st.integers(0, 4))
-    transitions = []
-    outputs = [
-        PASS,
-        OutputTemplate(()),
-        OutputTemplate((SynthEvent(EventKind.API_CALL, "release"), INPUT)),
-        OutputTemplate((INPUT, SynthEvent(EventKind.CALLBACK, "onStop"))),
-    ]
-    for _ in range(n_transitions):
-        source = draw(st.sampled_from(states))
-        target = draw(st.sampled_from(states))
-        pattern = draw(st.sampled_from(_patterns))
-        output = draw(st.sampled_from(outputs))
-        transitions.append(Transition(source, pattern, target, output))
-    return PolicySpec(
-        name=draw(st.sampled_from(["P", "Q.R", "Pol-1"])),
-        automaton=EditAutomaton(
-            states=states,
-            initial=states[0],
-            transitions=tuple(transitions),
-            default=draw(st.sampled_from(list(DefaultAction))),
-        ),
-        alphabet=tuple(_patterns),
-        instancing=draw(st.sampled_from([Instancing.SINGLETON, Instancing.PER_COMPONENT])),
-        statement=draw(st.sampled_from(["", "close before stop", 'quote " and \\ pass'])),
-    )
-
-
-@given(_policies())
+@given(policies())
 def test_random_policy_round_trip(spec):
     assert parse_policy(serialize_policy(spec)) == spec
 
 
-# Random well-formed monitors: error states (which have no outgoing
-# transitions) and both keyings that need no binder.
-
-
-@st.composite
-def _monitors(draw):
-    states = tuple(draw(_state_names))
-    errors = frozenset(draw(st.lists(st.sampled_from(states), unique=True)))
-    sources = [state for state in states if state not in errors]
-    transitions = []
-    if sources:
-        for _ in range(draw(st.integers(0, 4))):
-            source = draw(st.sampled_from(sources))
-            target = draw(st.sampled_from(states))
-            pattern = draw(st.sampled_from(_patterns))
-            transitions.append(Transition(source, pattern, target, None))
-    return MonitorAutomaton(
-        name=draw(st.sampled_from(["M", "Mon.1", "Leak-Check"])),
-        states=states,
-        initial=draw(st.sampled_from(states)),
-        error_states=errors,
-        transitions=tuple(transitions),
-        alphabet=tuple(_patterns),
-        instancing=draw(st.sampled_from([Instancing.SINGLETON, Instancing.PER_COMPONENT])),
-        statement=draw(st.sampled_from(["", "no leak", 'quote " and \\ pass'])),
-    )
-
-
-@given(_monitors())
+@given(monitors())
 def test_random_monitor_round_trip(monitor):
     text = serialize_monitor(monitor)
     assert parse_monitor(text) == monitor

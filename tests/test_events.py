@@ -126,6 +126,16 @@ def test_event_keeps_a_read_only_copy_of_attrs():
     assert pickle.loads(pickle.dumps(event)) == event
 
 
+def test_events_are_hashable():
+    first = Event(EventKind.API_CALL, "open", "C1", attrs={"a": "1", "b": "2"})
+    second = Event(EventKind.API_CALL, "open", "C1", attrs={"b": "2", "a": "1"})
+    assert hash(first) == hash(second)
+    assert {first, second, Event.api("open", "C1")} == {first, Event.api("open", "C1")}
+    assert len({first, second}) == 1
+    assert first.attrs == {"a": "1", "b": "2"}
+    assert {"b": "2", "a": "1"} == second.attrs
+
+
 def test_trace_rejects_decreasing_seq():
     with pytest.raises(TraceValidationError):
         Trace((Event.api("a", "C", 2), Event.api("b", "C", 1)))

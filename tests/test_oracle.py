@@ -1,7 +1,7 @@
 """Monitor replay, trace enumeration, and bounded exhaustive verification."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from enforcekit import (
     EditAutomaton,
@@ -16,15 +16,26 @@ from enforcekit import (
     PolicySpec,
     Trace,
     Transition,
+    Verdict,
     Violation,
     brute_force_verify,
     check,
     enforce_trace,
     enumerate_traces,
+    parse_event_literal,
     parse_monitor,
+    parse_policy,
 )
 
-from conftest import CATALOG, camera_alphabet
+from conftest import (
+    BINDER_PATTERNS,
+    CATALOG,
+    PLAIN_PATTERNS,
+    ROOT,
+    camera_alphabet,
+    monitors,
+    policies,
+)
 
 API = EventKind.API_CALL
 CB = EventKind.CALLBACK
@@ -279,6 +290,183 @@ class TestBruteForceVerify:
         )
         assert len(verdict.sound_counterexamples) == 2
         assert verdict.traces_checked == 85
+
+
+def reference_verify(
+    policy: PolicySpec,
+    monitor: MonitorAutomaton,
+    universe: EventUniverse,
+    *,
+    counterexample_limit: int = 10,
+) -> Verdict:
+    """The verifier as a plain loop: enforce and check every trace afresh."""
+    registry = ModuleRegistry.from_policies([policy])
+    verdict = Verdict(sound=True, transparent=True)
+    for trace in enumerate_traces(universe):
+        verdict.traces_checked += 1
+        registry.reset()
+        enforced, _report = enforce_trace(registry, trace)
+        if check(enforced, monitor):
+            verdict.sound = False
+            if len(verdict.sound_counterexamples) < counterexample_limit:
+                verdict.sound_counterexamples.append(trace)
+        if enforced.events != trace.events and not check(trace, monitor):
+            verdict.transparent = False
+            if len(verdict.transparent_counterexamples) < counterexample_limit:
+                verdict.transparent_counterexamples.append(trace)
+    return verdict
+
+
+def _assert_agrees_with_reference(policy, monitor, universe, limit=10) -> None:
+    """Same verdict and counterexamples, or the same enforcement error."""
+    try:
+        want = reference_verify(policy, monitor, universe, counterexample_limit=limit)
+    except EnforcementError as err:
+        with pytest.raises(EnforcementError) as got:
+            brute_force_verify(policy, monitor, universe, counterexample_limit=limit)
+        assert (str(got.value), got.value.seq) == (str(err), err.seq)
+        return
+    got = brute_force_verify(policy, monitor, universe, counterexample_limit=limit)
+    for kind in ("sound_counterexamples", "transparent_counterexamples"):
+        literals = [[[e.literal() for e in t] for t in getattr(v, kind)] for v in (got, want)]
+        assert literals[0] == literals[1], kind
+    assert got == want
+
+
+class TestWalkAgreesWithTheLoop:
+    """The depth-first walk against :func:`reference_verify`."""
+
+    @pytest.mark.parametrize(
+        "policy, monitor, events, max_len",
+        [
+            ("catalog/camera_release.policy", "catalog/camera.monitor", camera_alphabet(), 4),
+            ("benchmarks/identity.policy", "catalog/camera.monitor", camera_alphabet(), 4),
+            (
+                "catalog/osgi_unregister.policy",
+                "catalog/osgi.monitor",
+                (
+                    Event.api("registerService", "B1", service="S1"),
+                    Event.api("registerService", "B1", service="S2"),
+                    Event.api("unregisterService", "B1", service="S2"),
+                    Event.cb("stop", "B1"),
+                ),
+                4,
+            ),
+            (
+                "catalog/react_cleanup.policy",
+                "catalog/react.monitor",
+                (
+                    Event.api("setTimer", "C1", timer="T1"),
+                    Event.api("clearTimer", "C1", timer="T1"),
+                    Event.cb("componentWillUnmount", "C1"),
+                    Event.cb("componentWillUnmount", "C2"),
+                ),
+                4,
+            ),
+        ],
+    )
+    def test_shipped_pairs(self, policy, monitor, events, max_len):
+        _assert_agrees_with_reference(
+            parse_policy((ROOT / policy).read_text()),
+            parse_monitor((ROOT / monitor).read_text()),
+            EventUniverse(events, max_len),
+            limit=50,
+        )
+
+    def test_an_edit_can_be_undone_later(self):
+        # A !-synthetic release is held back and reinserted, equal to the
+        # input, on the next stop: after that stop the output is the input
+        # again, so the trace is not a transparency counterexample, though
+        # its prefix is.
+        policy = parse_policy(
+            "policy Defer instantiate per-component alphabet api release, cb onStop "
+            "initial S state S: on api release -> D emit [] "
+            "state D: on cb onStop -> S emit [api release, $in] end"
+        )
+        monitor = parse_monitor("monitor AcceptAll alphabet cb onStop initial S state S: end")
+        universe = EventUniverse(
+            (parse_event_literal("!api:release@C1"), Event.cb("onStop", "C1")), 3
+        )
+        _assert_agrees_with_reference(policy, monitor, universe, limit=100)
+        verdict = brute_force_verify(policy, monitor, universe, counterexample_limit=100)
+        opaque = [[e.literal() for e in t] for t in verdict.transparent_counterexamples]
+        assert ["!api:release@C1"] in opaque
+        assert ["!api:release@C1", "cb:onStop@C1"] not in opaque
+
+    def test_the_first_failing_trace_in_enumeration_order_is_reported(self):
+        # The walk reaches acquire;acquire;stop (fails at seq 3) before the
+        # bare stop (fails at seq 1); the shorter one is the one reported.
+        policy = parse_policy(
+            "policy P instantiate per-component alphabet api acquire{res=$r}, cb stop "
+            "initial S state S: on cb stop -> S emit [api release{res=$r}, $in] end"
+        )
+        monitor = parse_monitor("monitor M alphabet cb stop initial S state S: end")
+        universe = EventUniverse((Event.api("acquire", "C1"), Event.cb("stop", "C1")), 3)
+        with pytest.raises(EnforcementError) as err:
+            brute_force_verify(policy, monitor, universe)
+        assert err.value.seq == 1
+        assert str(err.value).startswith("seq 1: unbound binder '$r'")
+        _assert_agrees_with_reference(policy, monitor, universe)
+
+
+def test_long_traces_need_no_recursion(camera_policy, camera_monitor):
+    # 2,000 events deep, past Python's default recursion limit of 1,000.
+    universe = EventUniverse((OPEN,), 2000)
+    verdict = brute_force_verify(camera_policy, camera_monitor, universe)
+    assert verdict.ok
+    assert verdict.traces_checked == 2001
+
+
+# Universe events for generated policies, per alphabet: routable ones, a
+# !-synthetic one equal to what the policies insert, one outside the
+# alphabet, and one that per-binder instancing cannot route (no res).
+_UNIVERSE_EVENTS = {
+    PLAIN_PATTERNS: [
+        parse_event_literal(text)
+        for text in (
+            "cb:onStop@C1",
+            "cb:onStop@C2",
+            "api:acquire@C1",
+            "api:release@C1{mode=fast}",
+            "!api:release@C1{mode=fast}",
+            "api:release@C1",
+        )
+    ],
+    BINDER_PATTERNS: [
+        parse_event_literal(text)
+        for text in (
+            "api:acquire@C1{res=r1}",
+            "api:acquire@C1{res=r2}",
+            "api:release@C1{res=r1}",
+            "!api:release@C1{res=r1}",
+            "cb:stop@C1",
+            "cb:stop@C2",
+            "api:acquire@C1",
+            "cb:onStop@C1",
+        )
+    ],
+}
+
+
+@st.composite
+def _verify_inputs(draw):
+    patterns = draw(st.sampled_from([PLAIN_PATTERNS, BINDER_PATTERNS]))
+    events = draw(
+        st.lists(st.sampled_from(_UNIVERSE_EVENTS[patterns]), min_size=1, max_size=3, unique=True)
+    )
+    return (
+        draw(policies(patterns)),
+        draw(monitors(patterns, can_fail=draw(st.booleans()))),
+        EventUniverse(tuple(events), draw(st.integers(1, 4))),
+        draw(st.integers(1, 3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_verify_inputs())
+def test_walk_agrees_with_the_loop_on_generated_policies(inputs):
+    policy, monitor, universe, limit = inputs
+    _assert_agrees_with_reference(policy, monitor, universe, limit)
 
 
 def _camera_reference_model(events) -> list[Violation]:

@@ -323,6 +323,15 @@ class TestRunScenario:
             run_scenario(parse_scenario(text))
         assert str(exc.value) == "step 2: api call setTimer lacks attribute 'timer'"
 
+    def test_unroutable_event_reports_the_step(self):
+        text = "lifecycle osgi-bundle\ncomponent B1\nlc B1 start\ncall B1 registerService\n"
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(parse_scenario(text), _registry_for("osgi_unregister.policy"))
+        assert exc.value.step == 2
+        assert str(exc.value).startswith(
+            "step 2: event api:registerService@B1 matches pattern"
+        )
+
     def test_platform_state_advances_even_if_the_callback_is_suppressed(self):
         pause = EventPattern(CB, "onPause")
         gag = PolicySpec(
