@@ -18,14 +18,16 @@ Both document kinds share one grammar. A policy::
 A monitor starts with ``monitor`` instead of ``policy``, its transitions
 carry no ``emit`` clause, states may be flagged ``error`` (``state LEAKED
 error:``), and there is no ``default`` line: unmatched alphabet events
-self-loop. ``#`` starts a comment; indentation is not significant.
+self-loop. Indentation is not significant; names, binders, strings,
+comments and error positions follow "Lexical rules" in the README.
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Union
 
-from .events import EventKind
+from .events import _IDENT_CHAR, EventKind, _PositionedError
 from .oracle import MonitorAutomaton
 from .policy import (
     INPUT,
@@ -54,22 +56,12 @@ __all__ = [
 ]
 
 
-class PolicyParseError(ValueError):
+class PolicyParseError(_PositionedError):
     """Syntax error in a policy or monitor file (1-based line/column)."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
-
-class PolicySemanticError(ValueError):
+class PolicySemanticError(_PositionedError):
     """The text parses but violates a structural rule of the grammar."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class _Token(NamedTuple):
@@ -79,97 +71,63 @@ class _Token(NamedTuple):
     col: int
 
 
-_IDENT_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-"
+# A name is a run of identifier characters that stops before "->", so
+# "S->T" lexes as S, ->, T.
+_NAME = rf"(?:(?!->){_IDENT_CHAR})+"
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\])*'
+_TOKEN_RE = re.compile(
+    rf"""(?P<newline>\n)
+    |(?P<space>[^\S\n]+)
+    |(?P<comment>\#[^\n]*)
+    |"(?P<string>{_STRING_BODY})"
+    |(?P<arrow>->)
+    |\$(?P<binder>{_NAME})
+    |(?P<punct>[{{}}\[\],=:])
+    |(?P<ident>{_NAME})""",
+    re.VERBOSE,
 )
-_PUNCT = {"{": "{", "}": "}", "[": "[", "]": "]", ",": ",", "=": "=", ":": ":"}
+_STRING_PREFIX_RE = re.compile(_STRING_BODY)
+
+
+def _lex_error(text: str, pos: int, line: int, line_start: int) -> PolicyParseError:
+    """The error for ``text[pos]``, where no token starts."""
+    ch = text[pos]
+    col = pos - line_start + 1
+    if ch == '"':
+        stop = _STRING_PREFIX_RE.match(text, pos + 1).end()
+        if text[stop : stop + 1] == "\\":
+            return PolicyParseError(
+                "bad escape in string (only \\\" and \\\\ are allowed)",
+                line,
+                stop - line_start + 1,
+            )
+        return PolicyParseError("unterminated string", line, col)
+    if ch == "$":
+        return PolicyParseError("expected name after '$'", line, col)
+    return PolicyParseError(f"unexpected character {ch!r}", line, col)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chunks: list[str] = []
-            while i < size and text[i] != '"':
-                if text[i] == "\n":
-                    raise PolicyParseError("unterminated string", start_line, start_col)
-                if text[i] == "\\":
-                    if i + 1 >= size or text[i + 1] not in ('"', "\\"):
-                        raise PolicyParseError(
-                            "bad escape in string (only \\\" and \\\\ are allowed)",
-                            line,
-                            col,
-                        )
-                    chunks.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                chunks.append(text[i])
-                i += 1
-                col += 1
-            if i >= size:
-                raise PolicyParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            tokens.append(_Token("string", "".join(chunks), start_line, start_col))
-            continue
-        if ch == "-" and text[i + 1 : i + 2] == ">":
-            tokens.append(_Token("arrow", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == "$":
-            start_col = col
-            i += 1
-            col += 1
-            j = i
-            while j < size and text[j] in _IDENT_CHARS:
-                if text[j] == "-" and text[j + 1 : j + 2] == ">":
-                    break
-                j += 1
-            if j == i:
-                raise PolicyParseError("expected name after '$'", line, start_col)
-            tokens.append(_Token("binder", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            start_col = col
-            j = i
-            while j < size and text[j] in _IDENT_CHARS:
-                if text[j] == "-" and text[j + 1 : j + 2] == ">":
-                    break
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise PolicyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise _lex_error(text, pos, line, line_start)
+        kind = match.lastgroup
+        value = match[kind]
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind == "comment":
+            if match.end() == len(text):
+                break  # EOF after a trailing comment is placed at its '#'
+        elif kind != "space":
+            if kind == "string":
+                value = re.sub(r"\\(.)", r"\1", value)
+            type_ = value if kind == "punct" else kind
+            tokens.append(_Token(type_, value, line, pos - line_start + 1))
+        pos = match.end()
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -190,22 +148,22 @@ class _Parser:
         token = self.peek()
         if token.type != type_:
             wanted = what or f"'{type_}'"
-            raise PolicyParseError(
-                f"expected {wanted}, got {token.value!r}", token.line, token.col
-            )
+            raise _syntax(f"expected {wanted}, got {token.value!r}", token)
         return self.next()
 
     def expect_keyword(self, keyword: str) -> _Token:
         token = self.peek()
         if token.type != "ident" or token.value != keyword:
-            raise PolicyParseError(
-                f"expected '{keyword}', got {token.value!r}", token.line, token.col
-            )
+            raise _syntax(f"expected '{keyword}', got {token.value!r}", token)
         return self.next()
 
     def at_keyword(self, *keywords: str) -> bool:
         token = self.peek()
         return token.type == "ident" and token.value in keywords
+
+
+def _syntax(message: str, token: _Token) -> PolicyParseError:
+    return PolicyParseError(message, token.line, token.col)
 
 
 def _semantic(message: str, token: _Token) -> PolicySemanticError:
@@ -228,10 +186,8 @@ def _parse_constraints(parser: _Parser) -> tuple[tuple[str, Constraint], ...]:
                 raise _semantic("'$in' cannot be used as a binder name", value_tok)
             constraint = Binder(value_tok.value)
         else:
-            raise PolicyParseError(
-                f"expected literal or $binder, got {value_tok.value!r}",
-                value_tok.line,
-                value_tok.col,
+            raise _syntax(
+                f"expected literal or $binder, got {value_tok.value!r}", value_tok
             )
         pairs.append((key_tok.value, constraint))
         if parser.peek().type == ",":
@@ -244,11 +200,7 @@ def _parse_constraints(parser: _Parser) -> tuple[tuple[str, Constraint], ...]:
 def _parse_pattern(parser: _Parser) -> EventPattern:
     kind_tok = parser.expect("ident", "'cb' or 'api'")
     if kind_tok.value not in ("cb", "api"):
-        raise PolicyParseError(
-            f"expected 'cb' or 'api', got {kind_tok.value!r}",
-            kind_tok.line,
-            kind_tok.col,
-        )
+        raise _syntax(f"expected 'cb' or 'api', got {kind_tok.value!r}", kind_tok)
     name_tok = parser.expect("ident", "event name")
     constraints: tuple[tuple[str, Constraint], ...] = ()
     if parser.peek().type == "{":
@@ -321,11 +273,9 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
     while True:
         token = parser.peek()
         if token.type == "eof":
-            raise PolicyParseError(f"missing 'end'", token.line, token.col)
+            raise _syntax("missing 'end'", token)
         if token.type != "ident":
-            raise PolicyParseError(
-                f"expected a clause keyword, got {token.value!r}", token.line, token.col
-            )
+            raise _syntax(f"expected a clause keyword, got {token.value!r}", token)
         keyword = token.value
         if keyword == "end":
             parser.next()
@@ -341,11 +291,8 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
             try:
                 instancing = Instancing(mode_tok.value)
             except ValueError:
-                raise PolicyParseError(
-                    f"unknown instancing mode {mode_tok.value!r}",
-                    mode_tok.line,
-                    mode_tok.col,
-                ) from None
+                message = f"unknown instancing mode {mode_tok.value!r}"
+                raise _syntax(message, mode_tok) from None
             if instancing is Instancing.PER_BINDER:
                 binder_attr = parser.expect("ident", "binder attribute key").value
         elif keyword == "alphabet":
@@ -386,11 +333,7 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
                     output = _parse_template(parser)
                 elif not is_monitor:
                     after = parser.peek()
-                    raise PolicyParseError(
-                        "expected 'emit' after the target state",
-                        after.line,
-                        after.col,
-                    )
+                    raise _syntax("expected 'emit' after the target state", after)
                 transitions.append(
                     (Transition(name_tok.value, pattern, target_tok.value, output), on_tok)
                 )
@@ -407,23 +350,14 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
             try:
                 default = DefaultAction(action_tok.value)
             except ValueError:
-                raise PolicyParseError(
-                    f"expected 'allow' or 'suppress', got {action_tok.value!r}",
-                    action_tok.line,
-                    action_tok.col,
-                ) from None
+                message = f"expected 'allow' or 'suppress', got {action_tok.value!r}"
+                raise _syntax(message, action_tok) from None
         else:
-            raise PolicyParseError(
-                f"unknown clause {keyword!r}", token.line, token.col
-            )
+            raise _syntax(f"unknown clause {keyword!r}", token)
 
     trailing = parser.peek()
     if trailing.type != "eof":
-        raise PolicyParseError(
-            f"unexpected content after 'end': {trailing.value!r}",
-            trailing.line,
-            trailing.col,
-        )
+        raise _syntax(f"unexpected content after 'end': {trailing.value!r}", trailing)
 
     # Semantic assembly with positioned errors.
     seen_states: set[str] = set()
@@ -432,9 +366,9 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
             raise _semantic(f"duplicate state {block.name}", block.token)
         seen_states.add(block.name)
     if not blocks:
-        raise PolicyParseError(f"{doc} declares no states", trailing.line, trailing.col)
+        raise _syntax(f"{doc} declares no states", trailing)
     if initial is None:
-        raise PolicyParseError(f"{doc} has no initial state", trailing.line, trailing.col)
+        raise _syntax(f"{doc} has no initial state", trailing)
     if initial[0] not in seen_states:
         raise _semantic(f"unknown state {initial[0]}", initial[1])
     patterns = tuple(alphabet or ())

@@ -28,8 +28,13 @@ __all__ = [
 
 # Names, components, attribute keys and attribute values all share one
 # identifier charset so that every serialization (trace lines, compact event
-# literals, policy patterns) is unambiguous and round-trips exactly.
-_IDENT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+# literals, policy patterns) is unambiguous and round-trips exactly. The
+# policy lexer builds its names from the same character class.
+_IDENT_CHAR = "[A-Za-z0-9_.-]"
+_IDENT_RE = re.compile(_IDENT_CHAR + "+")
+# Sequence numbers are ASCII digits only; ``str.isdigit`` also accepts
+# superscripts and other scripts' digits.
+_SEQ_RE = re.compile("[0-9]+")
 
 
 class EventKind(str, Enum):
@@ -39,13 +44,17 @@ class EventKind(str, Enum):
     API_CALL = "api"  # call into a library operation
 
 
-class TraceParseError(ValueError):
-    """A trace line could not be parsed. Carries 1-based line and column."""
+class _PositionedError(ValueError):
+    """An input error at a 1-based ``line`` and ``column``."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+class TraceParseError(_PositionedError):
+    """A trace line could not be parsed. Carries 1-based line and column."""
 
 
 class TraceValidationError(ValueError):
@@ -55,7 +64,7 @@ class TraceValidationError(ValueError):
 def _check_ident(value: str, what: str) -> None:
     if not _IDENT_RE.fullmatch(value):
         raise ValueError(
-            f"{what} {value!r} must be a non-empty run of [A-Za-z0-9_.-]"
+            f"{what} {value!r} must be a non-empty run of {_IDENT_CHAR}"
         )
 
 
@@ -204,12 +213,11 @@ class Trace:
 
 def _parse_trace_line(line: str, lineno: int) -> Event:
     n = len(line)
-    pos = 0
-    while pos < n and line[pos].isdigit():
-        pos += 1
-    if pos == 0:
+    digits = _SEQ_RE.match(line)
+    if digits is None:
         raise TraceParseError("expected sequence number", lineno, 1)
-    seq = int(line[:pos])
+    pos = digits.end()
+    seq = int(digits[0])
     if pos >= n or line[pos] != " ":
         raise TraceParseError("expected space after sequence number", lineno, pos + 1)
     pos += 1

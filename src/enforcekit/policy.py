@@ -79,10 +79,19 @@ class Binder:
 Constraint = Union[Literal, Binder]
 
 
-def _constraint_text(key: str, constraint: Constraint) -> str:
-    if isinstance(constraint, Binder):
-        return f"{key}=${constraint.var}"
-    return f"{key}={constraint.value}"
+def _pattern_text(
+    kind: EventKind, name: str, constraints: tuple[tuple[str, Constraint], ...]
+) -> str:
+    """Concrete syntax of a pattern or synthesized event, e.g.
+    ``api registerService{service=$s}``."""
+    body = f"{kind.value} {name}"
+    if constraints:
+        inner = ", ".join(
+            f"{k}=${c.var}" if isinstance(c, Binder) else f"{k}={c.value}"
+            for k, c in constraints
+        )
+        body += "{" + inner + "}"
+    return body
 
 
 def _normalize_constraints(
@@ -144,12 +153,7 @@ class EventPattern:
         return True
 
     def text(self) -> str:
-        """Concrete syntax, e.g. ``api registerService{service=$s}``."""
-        body = f"{self.kind.value} {self.name}"
-        if self.constraints:
-            inner = ", ".join(_constraint_text(k, c) for k, c in self.constraints)
-            body += "{" + inner + "}"
-        return body
+        return _pattern_text(self.kind, self.name, self.constraints)
 
 
 @dataclass(frozen=True)
@@ -179,11 +183,7 @@ class SynthEvent:
         )
 
     def text(self) -> str:
-        body = f"{self.kind.value} {self.name}"
-        if self.attrs:
-            inner = ", ".join(_constraint_text(k, c) for k, c in self.attrs)
-            body += "{" + inner + "}"
-        return body
+        return _pattern_text(self.kind, self.name, self.attrs)
 
 
 TemplateItem = Union[InputRef, SynthEvent]

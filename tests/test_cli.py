@@ -269,6 +269,15 @@ class TestEnforce:
         assert code == 2
         assert f"error: {trace}: " in err
 
+    @pytest.mark.parametrize("seq", ["\u00b2", "\u0663"])
+    def test_non_ascii_seq_digit(self, capsys, tmp_path, seq):
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"{seq} api:Camera.open@A1\n", encoding="utf-8")
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, str(trace))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {trace}: line 1, column 1: expected sequence number\n"
+
     def test_monitor_file_is_not_a_policy(self, capsys, leaky_trace):
         code, _, err = _run(capsys, "enforce", "-p", CAMERA_MONITOR, leaky_trace)
         assert code == 2
@@ -499,7 +508,9 @@ TRACE_TEXTS = [
     "1 api:registerService@B1 service=S1\n2 api:setTimer@C1 timer=T1\n"
     "3 cb:stop@B1\n4 cb:componentWillUnmount@C1\n",
 ]
-DAMAGE = [b"\xff", b"\xc3", b"!", b"$x", b"{", b"}", b"=", b",", b" ", b"\n", b"->", b"@"]
+DAMAGE = [
+    b"\xff", b"\xc3", b"!", b"$x", b"{", b"}", b"=", b",", b" ", b"\n", b"->", b"@", "\u00b2".encode()
+]
 TOKENS = [b"A!1", b"Camera!open", b"mode=fast!", b"k=", b"=v", b"$s", b"service=S1", b"A1", b"\xff"]
 LITERALS = [
     "api:Camera.open@A1",

@@ -1,7 +1,7 @@
 """Policy language: parsing, semantic errors, and canonical serialization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from enforcekit import (
     DefaultAction,
@@ -11,12 +11,14 @@ from enforcekit import (
     PolicyParseError,
     PolicySemanticError,
     PolicySpec,
+    TraceParseError,
     parse_document,
     parse_monitor,
     parse_policy,
     serialize_monitor,
     serialize_policy,
 )
+from enforcekit.dsl import _Token, _tokenize
 from conftest import CATALOG, CATALOG_MONITORS, CATALOG_POLICIES, monitors, policies
 
 CAMERA_TEXT = (CATALOG / "camera_release.policy").read_text()
@@ -90,6 +92,18 @@ class TestParseErrors:
             parse_policy("policy P\ninitial S\nstate S: on xx a -> S emit [$in]\nend")
         assert exc.value.line == 3
         assert exc.value.column == 13
+
+
+@pytest.mark.parametrize("cls", [PolicyParseError, PolicySemanticError, TraceParseError])
+def test_positioned_errors(cls):
+    err = cls("boom", 2, 3)
+    assert isinstance(err, ValueError)
+    assert (err.line, err.column, str(err)) == (2, 3, "line 2, column 3: boom")
+
+
+def test_semantic_errors_are_not_syntax_errors():
+    assert not issubclass(PolicySemanticError, PolicyParseError)
+    assert not issubclass(PolicyParseError, PolicySemanticError)
 
 
 class TestSemanticErrors:
@@ -212,3 +226,173 @@ def test_random_monitor_round_trip(monitor):
     text = serialize_monitor(monitor)
     assert parse_monitor(text) == monitor
     assert parse_document(text) == monitor
+
+
+# --- lexer -----------------------------------------------------------------
+#
+# The character-by-character tokenizer that the compiled token pattern
+# replaced, kept as the reference the pattern must agree with exactly:
+# same tokens, or the same error message at the same line and column.
+
+_IDENT_CHARS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-"
+)
+_PUNCT = {"{": "{", "}": "}", "[": "[", "]": "]", ",": ",", "=": "=", ":": ":"}
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col, i = 1, 1, 0
+    size = len(text)
+    while i < size:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < size and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            chunks: list[str] = []
+            while i < size and text[i] != '"':
+                if text[i] == "\n":
+                    raise PolicyParseError("unterminated string", start_line, start_col)
+                if text[i] == "\\":
+                    if i + 1 >= size or text[i + 1] not in ('"', "\\"):
+                        raise PolicyParseError(
+                            "bad escape in string (only \\\" and \\\\ are allowed)",
+                            line,
+                            col,
+                        )
+                    chunks.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                chunks.append(text[i])
+                i += 1
+                col += 1
+            if i >= size:
+                raise PolicyParseError("unterminated string", start_line, start_col)
+            i += 1
+            col += 1
+            tokens.append(_Token("string", "".join(chunks), start_line, start_col))
+            continue
+        if ch == "-" and text[i + 1 : i + 2] == ">":
+            tokens.append(_Token("arrow", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch == "$":
+            start_col = col
+            i += 1
+            col += 1
+            j = i
+            while j < size and text[j] in _IDENT_CHARS:
+                if text[j] == "-" and text[j + 1 : j + 2] == ">":
+                    break
+                j += 1
+            if j == i:
+                raise PolicyParseError("expected name after '$'", line, start_col)
+            tokens.append(_Token("binder", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch in _IDENT_CHARS:
+            start_col = col
+            j = i
+            while j < size and text[j] in _IDENT_CHARS:
+                if text[j] == "-" and text[j + 1 : j + 2] == ">":
+                    break
+                j += 1
+            tokens.append(_Token("ident", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise PolicyParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+def _lex(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except PolicyParseError as err:
+        return type(err), str(err), err.line, err.column
+
+
+DOCUMENT_TEXTS = [(CATALOG / name).read_text() for name in CATALOG_POLICIES + CATALOG_MONITORS]
+LEXICAL_PIECES = [
+    "->", "-", ">", "$", '"', "\\", "#", "\r", "\t", "\u00a0", "\u2028", "\n",
+    " ", "é", "Ж", "ß", "a", "Z", "0", "_", ".", "{", "}", "[", "]", ",", "=", ":", "!",
+]
+
+
+@st.composite
+def _mutated_document(draw) -> str:
+    text = draw(st.sampled_from(DOCUMENT_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["cut", "drop", "insert"]))
+        if how == "cut":
+            text = text[:at]
+        elif how == "drop":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + draw(st.sampled_from(LEXICAL_PIECES)) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_document() | st.lists(st.sampled_from(LEXICAL_PIECES)).map("".join))
+def test_tokenizer_agrees_with_the_reference(text):
+    assert _lex(_tokenize, text) == _lex(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("name", CATALOG_POLICIES + CATALOG_MONITORS)
+def test_tokenizer_agrees_on_the_catalog(name):
+    text = (CATALOG / name).read_text()
+    assert _tokenize(text) == reference_tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ('policy P\nstatement "ab', "unterminated string", 2, 11),
+        ('policy P\nstatement "ab\n"', "unterminated string", 2, 11),
+        ('policy P statement "a\\qb"', "bad escape in string", 1, 22),
+        ('policy P statement "a\\', "bad escape in string", 1, 22),
+        ("policy P alphabet api a{k=$}", "expected name after '$'", 1, 27),
+        ("policy P alphabet api a{k=$->}", "expected name after '$'", 1, 27),
+        ("policy P\n  on!", "unexpected character '!'", 2, 5),
+        ("policy P # no end", "missing 'end'", 1, 10),
+    ],
+)
+def test_lexical_error_positions(text, message, line, column):
+    with pytest.raises(PolicyParseError) as exc:
+        parse_policy(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(f"line {line}, column {column}: {message}")
+
+
+def test_names_end_before_arrows():
+    values = [(t.type, t.value) for t in _tokenize("S->T $b->U a-->")]
+    assert values == [
+        ("ident", "S"), ("arrow", "->"), ("ident", "T"),
+        ("binder", "b"), ("arrow", "->"), ("ident", "U"),
+        ("ident", "a-"), ("arrow", "->"), ("eof", ""),
+    ]

@@ -52,21 +52,24 @@ def test_parse_attrs_and_synthetic_marker():
 
 
 @pytest.mark.parametrize(
-    "line, fragment",
+    "line, fragment, column",
     [
-        ("x api:Camera.open@A1", "sequence number"),
-        ("1api:Camera.open@A1", "space after sequence number"),
-        ("1 rpc:Camera.open@A1", "unknown event kind"),
-        ("1 api:Camera.open", "'@' before component"),
-        ("1 api:Camera.open@A1 service", "key=value"),
-        ("1 api:open@A1 k=v k=w", "duplicate attribute"),
+        ("x api:Camera.open@A1", "sequence number", 1),
+        # Sequence numbers are ASCII digits: not superscripts, not other scripts.
+        ("\u00b2 api:Camera.open@A1", "expected sequence number", 1),
+        ("\u0663 api:Camera.open@A1", "expected sequence number", 1),
+        ("1api:Camera.open@A1", "space after sequence number", 2),
+        ("1 rpc:Camera.open@A1", "unknown event kind", 3),
+        ("1 api:Camera.open", "'@' before component", 7),
+        ("1 api:Camera.open@A1 service", "key=value", 22),
+        ("1 api:open@A1 k=v k=w", "duplicate attribute", 19),
     ],
 )
-def test_parse_errors_carry_position(line, fragment):
+def test_parse_errors_carry_position(line, fragment, column):
     with pytest.raises(TraceParseError, match=fragment) as exc:
         parse_trace(line)
     assert exc.value.line == 1
-    assert exc.value.column >= 1
+    assert exc.value.column == column
 
 
 def test_serialize_empty_trace():
