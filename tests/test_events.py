@@ -51,19 +51,24 @@ def test_parse_attrs_and_synthetic_marker():
     assert event.seq == 3
 
 
+_PARSE_ERRORS = [
+    ("x api:Camera.open@A1", "sequence number", 1),
+    # Sequence numbers are ASCII digits: not superscripts, not other scripts.
+    ("\u00b2 api:Camera.open@A1", "expected sequence number", 1),
+    ("\u0663 api:Camera.open@A1", "expected sequence number", 1),
+    ("1api:Camera.open@A1", "space after sequence number", 2),
+    ("1 rpc:Camera.open@A1", "unknown event kind", 3),
+    ("1 api:Camera.open", "'@' before component", 7),
+    ("1 api:Camera.open@A1 service", "key=value", 22),
+    ("1 api:open@A1 k=v k=w", "duplicate attribute", 19),
+]
+
+
+# Case ids name the line and the message only, so adding a case's column
+# does not rename the case.
 @pytest.mark.parametrize(
     "line, fragment, column",
-    [
-        ("x api:Camera.open@A1", "sequence number", 1),
-        # Sequence numbers are ASCII digits: not superscripts, not other scripts.
-        ("\u00b2 api:Camera.open@A1", "expected sequence number", 1),
-        ("\u0663 api:Camera.open@A1", "expected sequence number", 1),
-        ("1api:Camera.open@A1", "space after sequence number", 2),
-        ("1 rpc:Camera.open@A1", "unknown event kind", 3),
-        ("1 api:Camera.open", "'@' before component", 7),
-        ("1 api:Camera.open@A1 service", "key=value", 22),
-        ("1 api:open@A1 k=v k=w", "duplicate attribute", 19),
-    ],
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _PARSE_ERRORS],
 )
 def test_parse_errors_carry_position(line, fragment, column):
     with pytest.raises(TraceParseError, match=fragment) as exc:
