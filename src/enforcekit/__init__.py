@@ -74,7 +74,6 @@ from .events import (
 )
 from .oracle import (
     EventUniverse,
-    MonitorAutomaton,
     Verdict,
     Violation,
     brute_force_verify,
@@ -87,11 +86,11 @@ from .policy import (
     DefaultAction,
     Diagnostic,
     DispatchError,
-    EditAutomaton,
     EventPattern,
     INPUT,
     Instancing,
     Literal,
+    MonitorAutomaton,
     OutputTemplate,
     PASS,
     PolicySpec,
@@ -137,7 +136,6 @@ __all__ = [
     "validate_lifecycle",
     # policy model
     "PolicySpec",
-    "EditAutomaton",
     "EventPattern",
     "OutputTemplate",
     "Transition",

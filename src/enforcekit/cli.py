@@ -39,8 +39,8 @@ from .events import (
     parse_trace,
     serialize_trace,
 )
-from .oracle import EventUniverse, MonitorAutomaton, brute_force_verify, validate_monitor
-from .policy import Diagnostic, PolicySpec, Severity, validate_policy
+from .oracle import EventUniverse, brute_force_verify, validate_monitor
+from .policy import Diagnostic, MonitorAutomaton, PolicySpec, Severity, validate_policy
 from .simulator import (
     DeniedAcquire,
     LeakRecord,
@@ -102,8 +102,7 @@ def _load(path: str, kind: type[PolicySpec] | type[MonitorAutomaton]):
     except ValueError as err:
         raise _CliError(f"{path}: {err}") from err
     if not isinstance(document, kind):
-        wanted, found = ("policy", "monitor") if kind is PolicySpec else ("monitor", "policy")
-        raise _CliError(f"{path}: expected a {wanted}, found a {found}")
+        raise _CliError(f"{path}: expected a {kind.kind}, found a {document.kind}")
     return document
 
 

@@ -28,17 +28,16 @@ import re
 from typing import NamedTuple, Union
 
 from .events import _IDENT_CHAR, EventKind, _PositionedError
-from .oracle import MonitorAutomaton
 from .policy import (
     INPUT,
     Binder,
     Constraint,
     DefaultAction,
-    EditAutomaton,
     EventPattern,
     Instancing,
     InputRef,
     Literal,
+    MonitorAutomaton,
     OutputTemplate,
     PolicySpec,
     SynthEvent,
@@ -386,9 +385,11 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
                 f"error state {block.name} must not have outgoing transitions",
                 block.token,
             )
-    states = tuple(block.name for block in blocks)
-    transitions = tuple(t for block in blocks for t, _tok in block.transitions)
     shared = dict(
+        name=name,
+        states=tuple(block.name for block in blocks),
+        initial=initial[0],
+        transitions=tuple(t for block in blocks for t, _tok in block.transitions),
         alphabet=patterns,
         instancing=instancing or Instancing.SINGLETON,
         binder_attr=binder_attr,
@@ -396,18 +397,9 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
     )
     try:
         if is_monitor:
-            return MonitorAutomaton(
-                name=name,
-                states=states,
-                initial=initial[0],
-                error_states=frozenset(b.name for b in blocks if b.error),
-                transitions=transitions,
-                **shared,
-            )
-        automaton = EditAutomaton(
-            states, initial[0], transitions, default or DefaultAction.ALLOW
-        )
-        return PolicySpec(name=name, automaton=automaton, **shared)
+            error_states = frozenset(b.name for b in blocks if b.error)
+            return MonitorAutomaton(**shared, error_states=error_states)
+        return PolicySpec(**shared, default=default or DefaultAction.ALLOW)
     except ValueError as err:
         raise _semantic(str(err), head) from err
 
@@ -434,8 +426,7 @@ def _escape(statement: str) -> str:
 def _serialize(doc: PolicySpec | MonitorAutomaton) -> str:
     """Canonical text of either document kind; ``_parse`` reads it back equal."""
     is_monitor = isinstance(doc, MonitorAutomaton)
-    automaton = doc if is_monitor else doc.automaton
-    lines = [f"{'monitor' if is_monitor else 'policy'} {doc.name}"]
+    lines = [f"{doc.kind} {doc.name}"]
     if doc.statement:
         lines.append(f'statement "{_escape(doc.statement)}"')
     instantiate = f"instantiate {doc.instancing.value}"
@@ -444,16 +435,16 @@ def _serialize(doc: PolicySpec | MonitorAutomaton) -> str:
     lines.append(instantiate)
     if doc.alphabet:
         lines.append("alphabet " + ", ".join(p.text() for p in doc.alphabet))
-    lines.append(f"initial {automaton.initial}")
-    for state in automaton.states:
+    lines.append(f"initial {doc.initial}")
+    for state in doc.states:
         flag = " error" if is_monitor and state in doc.error_states else ""
         lines.append(f"state {state}{flag}:")
-        for t in automaton.transitions:
+        for t in doc.transitions:
             if t.source == state:
                 emit = "" if t.output is None else f" emit {t.output.text()}"
                 lines.append(f"  on {t.pattern.text()} -> {t.target}{emit}")
     if not is_monitor:
-        lines.append(f"default {automaton.default.value}")
+        lines.append(f"default {doc.default.value}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -83,7 +83,7 @@ class AutomatonInstance:
         """
         chosen = self._transition(self.current, event)
         if chosen is None:
-            if self.policy.automaton.default is DefaultAction.ALLOW:
+            if self.policy.default is DefaultAction.ALLOW:
                 return [event]
             return []
         bound = chosen.pattern.binder()

@@ -172,6 +172,8 @@ def parse_event_literal(text: str) -> Event:
             key, eq, value = pair.partition("=")
             if not eq:
                 raise ValueError(f"bad event literal {original!r}: bad attribute {pair!r}")
+            if key in attrs:
+                raise ValueError(f"bad event literal {original!r}: duplicate attribute {key!r}")
             attrs[key] = value
     try:
         return Event(EventKind(head), name, component, 0, synthetic, attrs)
@@ -211,11 +213,12 @@ class Trace:
         return Trace(tuple(replace(e, seq=i) for i, e in enumerate(events, 1)))
 
 
-def _parse_trace_line(line: str, lineno: int) -> Event:
+def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
+    """Parse ``line[start:]``; error columns count from the start of ``line``."""
     n = len(line)
-    digits = _SEQ_RE.match(line)
+    digits = _SEQ_RE.match(line, start)
     if digits is None:
-        raise TraceParseError("expected sequence number", lineno, 1)
+        raise TraceParseError("expected sequence number", lineno, start + 1)
     pos = digits.end()
     seq = int(digits[0])
     if pos >= n or line[pos] != " ":
@@ -272,10 +275,11 @@ def parse_trace(text: str) -> Trace:
     events: list[Event] = []
     prev_seq = -1
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.rstrip()
+        start = len(line) - len(line.lstrip())
+        if start == len(line) or line[start] == "#":
             continue
-        event = _parse_trace_line(line, lineno)
+        event = _parse_trace_line(line, lineno, start)
         if event.seq <= prev_seq:
             raise TraceValidationError(f"non-monotone seq at line {lineno}")
         prev_seq = event.seq

@@ -1,11 +1,13 @@
-"""Independent checking of traces: safety monitors and brute-force search.
+"""Independent checking of traces: monitor replay and brute-force search.
 
-Monitors are plain acceptor automata, deliberately free of any edit or
-output machinery, so they can serve as an oracle for the enforcement
-pipeline: a monitor says whether a trace violates a property, and bounded
-exhaustive enumeration over a concrete event universe establishes, up to
-that bound, that enforcement output never violates the property (soundness)
-and that compliant traces pass through untouched (transparency).
+A monitor (:class:`~enforcekit.policy.MonitorAutomaton`) is a keyed
+acceptor with no edit or output machinery, so it can serve as an oracle
+for the enforcement pipeline. This module checks traces against monitors
+and verifies policies: :func:`check` says whether a trace violates a
+monitor's property, and bounded exhaustive enumeration over a concrete
+event universe establishes, up to that bound, that enforcement output
+never violates the property (soundness) and that compliant traces pass
+through untouched (transparency).
 
 The enumeration shares prefixes: each trace extends its parent's saved
 enforcement and monitor state by one event, so it costs one pipeline step
@@ -30,16 +32,10 @@ from .enforcement import (
 )
 from .events import Event, Trace
 from .policy import (
-    AutomatonCore,
     Diagnostic,
     DispatchError,
-    EventPattern,
-    Instancing,
+    MonitorAutomaton,
     PolicySpec,
-    Transition,
-    _check_states,
-    _keyed_core,
-    _normalize_transitions,
     automaton_diagnostics,
 )
 
@@ -53,49 +49,6 @@ __all__ = [
     "enumerate_traces",
     "brute_force_verify",
 ]
-
-
-@dataclass(frozen=True)
-class MonitorAutomaton:
-    """Deterministic acceptor with absorbing error states.
-
-    The monitor is total over its alphabet: an alphabet event with no
-    matching transition self-loops. Events outside the alphabet are
-    invisible. Instances are keyed exactly like policy instances: both
-    build the same :class:`AutomatonCore`.
-    """
-
-    name: str
-    states: tuple[str, ...]
-    initial: str
-    error_states: frozenset[str] = frozenset()
-    transitions: tuple[Transition, ...] = ()
-    alphabet: tuple[EventPattern, ...] = ()
-    instancing: Instancing = Instancing.SINGLETON
-    binder_attr: str | None = None
-    statement: str = ""
-    core: AutomatonCore = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        transitions = tuple(self.transitions)
-        states = _check_states(self.states, self.initial, transitions)
-        transitions = _normalize_transitions(states, transitions)
-        error_states = frozenset(self.error_states)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", transitions)
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "error_states", error_states)
-        for state in error_states:
-            if state not in states:
-                raise ValueError(f"unknown state {state}")
-        for t in transitions:
-            if t.output is not None:
-                raise ValueError("monitor transitions must not carry outputs")
-            if t.source in error_states:
-                raise ValueError(
-                    f"error state {t.source} must not have outgoing transitions"
-                )
-        object.__setattr__(self, "core", _keyed_core("monitor", self, self))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Enforcement policies: event patterns, output templates, edit automata.
+"""Policies and monitors: event patterns, output templates, keyed automata.
 
 A policy describes a deterministic finite automaton whose transitions both
 consume intercepted events and emit an output sequence: the event itself, a
@@ -6,16 +6,19 @@ replacement, nothing (suppression), or the event surrounded by synthesized
 events (insertion). Instances of the automaton are keyed per policy: one
 global instance, one per component, or one per bound attribute value.
 
-Policies and monitors are the same keyed automaton, one with outputs and
-one without; :class:`AutomatonCore` is the part they share: validation,
-the alphabet and transition indexes, and routing to instance keys.
+A monitor is the same keyed automaton without outputs, with absorbing
+error states instead (Ligatti, Bauer and Walker's edit automata that never
+edit). :class:`PolicySpec` and :class:`MonitorAutomaton` share one flat
+shape and one constructor, which validates the spec and builds its
+:class:`AutomatonCore`: the alphabet and transition indexes, and routing
+to instance keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 from .events import Event, EventKind, _check_ident
 
@@ -32,9 +35,9 @@ __all__ = [
     "OutputTemplate",
     "Transition",
     "DefaultAction",
-    "EditAutomaton",
     "Instancing",
     "PolicySpec",
+    "MonitorAutomaton",
     "DispatchError",
     "AutomatonCore",
     "patterns_overlap",
@@ -240,61 +243,6 @@ class DefaultAction(Enum):
     SUPPRESS = "suppress"
 
 
-def _normalize_transitions(
-    states: tuple[str, ...], transitions
-) -> tuple[Transition, ...]:
-    """Stable-sort transitions by source state declaration order.
-
-    This makes serialization (which groups transitions under their state
-    block) a faithful round trip for programmatically built automata too.
-    """
-    order = {state: i for i, state in enumerate(states)}
-    return tuple(
-        sorted(transitions, key=lambda t: order.get(t.source, len(order)))
-    )
-
-
-def _check_states(states, initial: str, transitions) -> tuple[str, ...]:
-    states = tuple(states)
-    seen: set[str] = set()
-    for state in states:
-        _check_ident(state, "state name")
-        if state in seen:
-            raise ValueError(f"duplicate state {state}")
-        seen.add(state)
-    if initial not in seen:
-        raise ValueError(f"unknown state {initial}")
-    for t in transitions:
-        if t.source not in seen:
-            raise ValueError(f"unknown state {t.source}")
-        if t.target not in seen:
-            raise ValueError(f"unknown state {t.target}")
-    return states
-
-
-@dataclass(frozen=True)
-class EditAutomaton:
-    """Finite edit automaton: states, transitions with outputs, default."""
-
-    states: tuple[str, ...]
-    initial: str
-    transitions: tuple[Transition, ...] = ()
-    default: DefaultAction = DefaultAction.ALLOW
-
-    def __post_init__(self):
-        transitions = tuple(self.transitions)
-        states = _check_states(self.states, self.initial, transitions)
-        for t in transitions:
-            if t.output is None:
-                raise ValueError(
-                    f"transition {t.source} -> {t.target} is missing an output template"
-                )
-        object.__setattr__(self, "states", states)
-        object.__setattr__(
-            self, "transitions", _normalize_transitions(states, transitions)
-        )
-
-
 class Instancing(Enum):
     """How automaton instances are keyed."""
 
@@ -309,7 +257,7 @@ InstanceKey = tuple[str, ...]
 class AutomatonCore:
     """The keyed-automaton runtime that policies and monitors share.
 
-    Built once per spec by :func:`_keyed_core`: the alphabet indexed by
+    Built once per spec, by its constructor: the alphabet indexed by
     (kind, name), the transitions indexed by (state, kind, name), and the
     instancing that routes a matched event to instance keys. What a step
     does with the chosen transition stays with the caller: edit outputs
@@ -389,56 +337,21 @@ class AutomatonCore:
         return [(event.component, value)], bindings
 
 
-def _keyed_core(what: str, spec, automaton) -> AutomatonCore:
-    """Check the rules policies and monitors share, then build their core.
-
-    ``spec`` supplies the name, alphabet, instancing, binder attribute and
-    statement; ``automaton`` the initial state and transitions, whose
-    states its own constructor has checked with :func:`_check_states`.
-    ``what`` names the document kind ("policy" or "monitor") in errors.
-    """
-    alphabet, instancing, binder_attr = spec.alphabet, spec.instancing, spec.binder_attr
-    transitions = automaton.transitions
-    _check_ident(spec.name, f"{what} name")
-    if "\n" in spec.statement or "\r" in spec.statement:
-        raise ValueError("statement must be a single line")
-    if len(set(alphabet)) != len(alphabet):
-        raise ValueError("duplicate alphabet pattern")
-    for t in transitions:
-        if t.pattern not in alphabet:
-            raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
-    if instancing is Instancing.PER_BINDER:
-        if not binder_attr:
-            raise ValueError("per-binder instancing requires a binder attribute")
-        binder_keys = {p.binder()[0] for p in alphabet if p.binder()}
-        if not binder_keys:
-            raise ValueError(
-                "per-binder instancing requires at least one alphabet "
-                "pattern with a binder"
-            )
-        stray = binder_keys - {binder_attr}
-        if stray:
-            raise ValueError(
-                f"binder on attribute {sorted(stray)[0]!r} does not match "
-                f"per-binder key {binder_attr!r}"
-            )
-    elif binder_attr is not None:
-        raise ValueError("binder_attr is only meaningful with per-binder instancing")
-    return AutomatonCore(automaton.initial, instancing, alphabet, transitions)
-
-
 @dataclass(frozen=True)
-class PolicySpec:
-    """A named, instantiable enforcement policy.
+class _KeyedSpec:
+    """The fields and checks policies and monitors share.
 
-    ``alphabet`` is the set of event patterns the policy observes; events
-    matching no alphabet pattern pass through enforcement untouched. Every
+    ``alphabet`` is the set of event patterns the automaton observes;
+    events matching no alphabet pattern are invisible to it. Every
     transition pattern must be one of the alphabet patterns. ``core`` is
-    built once, here, and shared by every instance of the policy.
+    built once, here, and shared by every instance.
     """
 
+    kind: ClassVar[str]  # "policy" or "monitor", as in the text language
     name: str
-    automaton: EditAutomaton
+    states: tuple[str, ...]
+    initial: str
+    transitions: tuple[Transition, ...] = ()
     alphabet: tuple[EventPattern, ...] = ()
     instancing: Instancing = Instancing.SINGLETON
     binder_attr: str | None = None
@@ -446,8 +359,105 @@ class PolicySpec:
     core: AutomatonCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "core", _keyed_core("policy", self, self.automaton))
+        states, transitions = tuple(self.states), tuple(self.transitions)
+        seen: set[str] = set()
+        for state in states:
+            _check_ident(state, "state name")
+            if state in seen:
+                raise ValueError(f"duplicate state {state}")
+            seen.add(state)
+        for state in (self.initial, *(s for t in transitions for s in (t.source, t.target))):
+            if state not in seen:
+                raise ValueError(f"unknown state {state}")
+        self._check_kind(seen, transitions)
+        # Stable-sort by source state declaration order: serialization
+        # groups transitions under their state block, so this makes it a
+        # faithful round trip for automata built in code too.
+        order = {state: i for i, state in enumerate(states)}
+        transitions = tuple(sorted(transitions, key=lambda t: order[t.source]))
+        alphabet = tuple(self.alphabet)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "alphabet", alphabet)
+        _check_ident(self.name, f"{self.kind} name")
+        if "\n" in self.statement or "\r" in self.statement:
+            raise ValueError("statement must be a single line")
+        if len(set(alphabet)) != len(alphabet):
+            raise ValueError("duplicate alphabet pattern")
+        for t in transitions:
+            if t.pattern not in alphabet:
+                raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
+        binder_attr = self.binder_attr
+        if self.instancing is Instancing.PER_BINDER:
+            if not binder_attr:
+                raise ValueError("per-binder instancing requires a binder attribute")
+            binder_keys = {p.binder()[0] for p in alphabet if p.binder()}
+            if not binder_keys:
+                raise ValueError(
+                    "per-binder instancing requires at least one alphabet "
+                    "pattern with a binder"
+                )
+            stray = binder_keys - {binder_attr}
+            if stray:
+                raise ValueError(
+                    f"binder on attribute {sorted(stray)[0]!r} does not match "
+                    f"per-binder key {binder_attr!r}"
+                )
+        elif binder_attr is not None:
+            raise ValueError("binder_attr is only meaningful with per-binder instancing")
+        core = AutomatonCore(self.initial, self.instancing, alphabet, transitions)
+        object.__setattr__(self, "core", core)
+
+    def _check_kind(self, states: set[str], transitions) -> None:
+        """The kind's own rules, checked after the states and before the rest."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class PolicySpec(_KeyedSpec):
+    """A named, instantiable enforcement policy: a finite edit automaton.
+
+    Every transition carries an output template. ``default`` applies to
+    alphabet events with no matching transition.
+    """
+
+    kind: ClassVar[str] = "policy"
+    default: DefaultAction = DefaultAction.ALLOW
+
+    def _check_kind(self, states, transitions):
+        for t in transitions:
+            if t.output is None:
+                raise ValueError(
+                    f"transition {t.source} -> {t.target} is missing an output template"
+                )
+
+
+@dataclass(frozen=True)
+class MonitorAutomaton(_KeyedSpec):
+    """Deterministic acceptor with absorbing error states.
+
+    The monitor is total over its alphabet: an alphabet event with no
+    matching transition self-loops. Events outside the alphabet are
+    invisible. Instances are keyed exactly like policy instances: both
+    build the same :class:`AutomatonCore`.
+    """
+
+    kind: ClassVar[str] = "monitor"
+    error_states: frozenset[str] = frozenset()
+
+    def _check_kind(self, states, transitions):
+        error_states = frozenset(self.error_states)
+        object.__setattr__(self, "error_states", error_states)
+        for state in error_states:
+            if state not in states:
+                raise ValueError(f"unknown state {state}")
+        for t in transitions:
+            if t.output is not None:
+                raise ValueError("monitor transitions must not carry outputs")
+            if t.source in error_states:
+                raise ValueError(
+                    f"error state {t.source} must not have outgoing transitions"
+                )
 
 
 def patterns_overlap(a: EventPattern, b: EventPattern) -> bool:
@@ -464,28 +474,13 @@ def patterns_overlap(a: EventPattern, b: EventPattern) -> bool:
     return all(lits_a[k] == lits_b[k] for k in lits_a.keys() & lits_b.keys())
 
 
-def _reachable(states, initial: str, transitions) -> set[str]:
-    edges: dict[str, set[str]] = {s: set() for s in states}
-    for t in transitions:
-        edges[t.source].add(t.target)
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        for nxt in edges[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def automaton_diagnostics(automaton) -> list[Diagnostic]:
+def automaton_diagnostics(spec: PolicySpec | MonitorAutomaton) -> list[Diagnostic]:
     """Findings policies and monitors share, from states and transitions.
 
-    ``automaton`` is an :class:`EditAutomaton` or a monitor. Errors: pairs
-    of same-state transitions that can match the same event. Warnings:
-    states unreachable from the initial state.
+    Errors: pairs of same-state transitions that can match the same event.
+    Warnings: states unreachable from the initial state.
     """
-    states, transitions = automaton.states, automaton.transitions
+    states, transitions, initial = spec.states, spec.transitions, spec.initial
     out: list[Diagnostic] = []
     for state in states:
         outgoing = [t for t in transitions if t.source == state]
@@ -499,11 +494,17 @@ def automaton_diagnostics(automaton) -> list[Diagnostic]:
                             f"and '{second.pattern.text()}' can match the same event",
                         )
                     )
-    reached = _reachable(states, automaton.initial, transitions)
+    edges: dict[str, set[str]] = {s: set() for s in states}
+    for t in transitions:
+        edges[t.source].add(t.target)
+    reached, stack = {initial}, [initial]
+    while stack:
+        for nxt in edges[stack.pop()] - reached:
+            reached.add(nxt)
+            stack.append(nxt)
     out += [
         Diagnostic(
-            Severity.WARNING,
-            f"state {state} is unreachable from initial state {automaton.initial}",
+            Severity.WARNING, f"state {state} is unreachable from initial state {initial}"
         )
         for state in states
         if state not in reached
@@ -519,10 +520,9 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
     outside the policy's own alphabet (they may target downstream modules),
     and suppressed lifecycle callbacks.
     """
-    automaton = spec.automaton
-    diagnostics = automaton_diagnostics(automaton)
+    diagnostics = automaton_diagnostics(spec)
     alphabet_names = spec.core.alphabet
-    for t in automaton.transitions:
+    for t in spec.transitions:
         assert t.output is not None
         for item in t.output.items:
             if isinstance(item, SynthEvent) and (item.kind, item.name) not in alphabet_names:

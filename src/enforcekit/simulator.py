@@ -15,7 +15,6 @@ from typing import Mapping, Union
 
 from .enforcement import (
     EnforcementError,
-    EnforcementReport,
     ModuleRegistry,
     UnknownModuleError,
     enforce_event,
@@ -184,14 +183,14 @@ class ResourceModel:
 
     ``key_attr`` distinguishes instances of keyed resources (one per
     service id, one per timer id); unkeyed resources, like the camera, have
-    a single instance.
+    a single instance. An acquire of a slot that is already held is
+    denied, even for its holder.
     """
 
     name: str
     acquire: str
     release: str
     key_attr: str | None = None
-    exclusive: bool = True
 
 
 BUILTIN_RESOURCES: tuple[ResourceModel, ...] = (
@@ -315,6 +314,8 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
                     raise ScenarioParseError(
                         f"expected attribute 'key=value', got {token!r}", lineno
                     )
+                if key in attrs:
+                    raise ScenarioParseError(f"duplicate attribute {key!r}", lineno)
                 attrs[ident(key, "attribute key", lineno)] = ident(
                     value, "attribute value", lineno
                 )
@@ -367,7 +368,7 @@ class _ResourceState:
         if resource is not None:
             slot = self._slot(resource, event, step_no)
             holder = self.holdings.get(slot)
-            if holder is not None and resource.exclusive:
+            if holder is not None:
                 denied.append(
                     DeniedAcquire(event.component, slot[0], slot[1], holder, seq)
                 )

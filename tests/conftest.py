@@ -8,7 +8,6 @@ from enforcekit import (
     PASS,
     Binder,
     DefaultAction,
-    EditAutomaton,
     Event,
     EventKind,
     EventPattern,
@@ -141,12 +140,10 @@ def policies(draw, patterns=None):
         transitions.append(Transition(source, pattern, target, output))
     return PolicySpec(
         name=draw(st.sampled_from(["P", "Q.R", "Pol-1"])),
-        automaton=EditAutomaton(
-            states=states,
-            initial=states[0],
-            transitions=tuple(transitions),
-            default=draw(st.sampled_from(list(DefaultAction))),
-        ),
+        states=states,
+        initial=states[0],
+        transitions=tuple(transitions),
+        default=draw(st.sampled_from(list(DefaultAction))),
         alphabet=patterns,
         statement=draw(st.sampled_from(["", "close before stop", 'quote " and \\ pass'])),
         **_keying(draw, patterns),

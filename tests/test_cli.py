@@ -378,6 +378,16 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {scn}: line 3: event name 'Camera!open'")
 
+    def test_duplicate_scenario_attribute_exits_two(self, capsys, tmp_path):
+        scn = tmp_path / "dup.scn"
+        scn.write_text(
+            "lifecycle react-component\ncomponent C1\n"
+            "lc C1 componentDidMount\ncall C1 setTimer timer=t1 timer=t2\n"
+        )
+        code, _, err = _run(capsys, "simulate", str(scn))
+        assert code == 2
+        assert err == f"error: {scn}: line 4: duplicate attribute 'timer'\n"
+
 
 class TestVerify:
     def test_camera_policy_is_verified(self, capsys):
@@ -442,6 +452,15 @@ class TestVerify:
         )
         assert code == 2
         assert "error: " in err
+
+    def test_duplicate_literal_attribute_exits_two(self, capsys):
+        literal = "api:a@A1{x=1,x=2}"
+        code, out, err = _run(
+            capsys, "verify", "-p", CAMERA_POLICY, "-m", CAMERA_MONITOR, "-e", literal
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad event literal '{literal}': duplicate attribute 'x'\n"
 
     def test_invalid_policy_is_rejected_before_the_scan(self, capsys, tmp_path):
         path = tmp_path / "fork.policy"

@@ -27,17 +27,17 @@ CAMERA_TEXT = (CATALOG / "camera_release.policy").read_text()
 def test_camera_policy_structure(camera_policy):
     assert camera_policy.name == "CameraRelease"
     assert camera_policy.instancing is Instancing.PER_COMPONENT
-    assert camera_policy.automaton.states == ("FREE", "HELD")
-    assert len(camera_policy.automaton.transitions) == 3
+    assert camera_policy.states == ("FREE", "HELD")
+    assert len(camera_policy.transitions) == 3
     assert len(camera_policy.alphabet) == 3
-    assert camera_policy.automaton.default is DefaultAction.ALLOW
+    assert camera_policy.default is DefaultAction.ALLOW
     assert camera_policy.statement.startswith("An activity that is paused")
 
 
 def test_camera_repair_transition(camera_policy):
     (repair,) = [
         t
-        for t in camera_policy.automaton.transitions
+        for t in camera_policy.transitions
         if t.pattern.kind is EventKind.CALLBACK
     ]
     assert repair.source == "HELD" and repair.target == "FREE"
@@ -46,8 +46,8 @@ def test_camera_repair_transition(camera_policy):
 
 def test_minimal_policy():
     spec = parse_policy("policy P initial S state S: end")
-    assert spec.automaton.states == ("S",)
-    assert spec.automaton.transitions == ()
+    assert spec.states == ("S",)
+    assert spec.transitions == ()
     assert spec.alphabet == ()
     assert spec.instancing is Instancing.SINGLETON
     assert spec.statement == ""
@@ -207,8 +207,8 @@ def test_minimal_policy_round_trip():
     spec = parse_policy("policy P initial S state S: end")
     text = serialize_policy(spec)
     reparsed = parse_policy(text)
-    assert reparsed.automaton.states == ("S",)
-    assert reparsed.automaton.transitions == ()
+    assert reparsed.states == ("S",)
+    assert reparsed.transitions == ()
     assert reparsed == spec
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import enforcekit
 from enforcekit import (
     DispatchError,
-    EditAutomaton,
     EnforcementError,
     Event,
     EventKind,
@@ -52,16 +51,20 @@ def _chain_link(i: int) -> PolicySpec:
     """Policy P<i> that prepends api p<i+1> to every api p<i> it sees."""
     source = EventPattern(API, f"p{i}")
     out = OutputTemplate((SynthEvent(API, f"p{i + 1}"), INPUT))
-    automaton = EditAutomaton(("S",), "S", (Transition("S", source, "S", out),))
-    return PolicySpec(f"P{i}", automaton, alphabet=(source,))
+    return PolicySpec(
+        f"P{i}", ("S",), "S", (Transition("S", source, "S", out),), alphabet=(source,)
+    )
 
 
 def _suppressor(name: str, api_name: str) -> PolicySpec:
     pattern = EventPattern(API, api_name)
-    automaton = EditAutomaton(
-        ("S",), "S", (Transition("S", pattern, "S", OutputTemplate(())),)
+    return PolicySpec(
+        name,
+        ("S",),
+        "S",
+        (Transition("S", pattern, "S", OutputTemplate(())),),
+        alphabet=(pattern,),
     )
-    return PolicySpec(name, automaton, alphabet=(pattern,))
 
 
 class TestAutomatonStep:
@@ -254,20 +257,16 @@ class TestModuleChaining:
         b = EventPattern(API, "b")
         first = PolicySpec(
             "First",
-            EditAutomaton(
-                ("S",),
-                "S",
-                (Transition("S", a, "S", OutputTemplate((SynthEvent(API, "b"), INPUT))),),
-            ),
+            ("S",),
+            "S",
+            (Transition("S", a, "S", OutputTemplate((SynthEvent(API, "b"), INPUT))),),
             alphabet=(a,),
         )
         second = PolicySpec(
             "Second",
-            EditAutomaton(
-                ("S",),
-                "S",
-                (Transition("S", b, "S", OutputTemplate((SynthEvent(API, "c"), INPUT))),),
-            ),
+            ("S",),
+            "S",
+            (Transition("S", b, "S", OutputTemplate((SynthEvent(API, "c"), INPUT))),),
             alphabet=(b,),
         )
         registry = _registry(first, second)
@@ -278,16 +277,14 @@ class TestModuleChaining:
         x = EventPattern(API, "x")
         inserter = PolicySpec(
             "Inserter",
-            EditAutomaton(
-                ("S",),
-                "S",
-                (
-                    Transition(
-                        "S",
-                        EventPattern(API, "b"),
-                        "S",
-                        OutputTemplate((SynthEvent(API, "x"), INPUT)),
-                    ),
+            ("S",),
+            "S",
+            (
+                Transition(
+                    "S",
+                    EventPattern(API, "b"),
+                    "S",
+                    OutputTemplate((SynthEvent(API, "x"), INPUT)),
                 ),
             ),
             alphabet=(EventPattern(API, "b"),),

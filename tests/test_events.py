@@ -61,6 +61,9 @@ _PARSE_ERRORS = [
     ("1 api:Camera.open", "'@' before component", 7),
     ("1 api:Camera.open@A1 service", "key=value", 22),
     ("1 api:open@A1 k=v k=w", "duplicate attribute", 19),
+    # Columns count from the start of the line, leading blanks included.
+    ("   x api:a@A1", "expected sequence number", 4),
+    ("\t1 rpc:a@A1", "unknown event kind", 4),
 ]
 
 
@@ -107,7 +110,9 @@ def test_event_literal_round_trip():
     assert parse_event_literal(event.literal()) == event
 
 
-@pytest.mark.parametrize("bad", ["Camera.open@A1", "api:x", "api:x@", "api:x@A1{k}"])
+@pytest.mark.parametrize(
+    "bad", ["Camera.open@A1", "api:x", "api:x@", "api:x@A1{k}", "api:a@A1{x=1,x=2}"]
+)
 def test_bad_event_literals_rejected(bad):
     with pytest.raises(ValueError):
         parse_event_literal(bad)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enforcekit import (
-    EditAutomaton,
     EnforcementError,
     Event,
     EventKind,
@@ -58,18 +57,19 @@ def _camera_patterns() -> tuple[EventPattern, ...]:
 
 def _identity_policy() -> PolicySpec:
     """Observes the camera alphabet but never edits anything."""
-    return PolicySpec(
-        "Identity", EditAutomaton(("S",), "S"), alphabet=_camera_patterns()
-    )
+    return PolicySpec("Identity", ("S",), "S", alphabet=_camera_patterns())
 
 
 def _release_eater() -> PolicySpec:
     """Suppresses every Camera.release: unsound and opaque on purpose."""
     release = EventPattern(API, "Camera.release")
-    automaton = EditAutomaton(
-        ("S",), "S", (Transition("S", release, "S", OutputTemplate(())),)
+    return PolicySpec(
+        "ReleaseEater",
+        ("S",),
+        "S",
+        (Transition("S", release, "S", OutputTemplate(())),),
+        alphabet=(release,),
     )
-    return PolicySpec("ReleaseEater", automaton, alphabet=(release,))
 
 
 class TestCheck:

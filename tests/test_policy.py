@@ -7,13 +7,13 @@ from enforcekit import (
     Binder,
     DefaultAction,
     DispatchError,
-    EditAutomaton,
     Event,
     EventKind,
     EventPattern,
     INPUT,
     Instancing,
     Literal,
+    MonitorAutomaton,
     OutputTemplate,
     PASS,
     PolicySpec,
@@ -110,7 +110,7 @@ class TestOutputTemplate:
 
 
 def _automaton(transitions, states=("FREE", "HELD"), default=DefaultAction.ALLOW):
-    return EditAutomaton(states=states, initial="FREE", transitions=transitions, default=default)
+    return dict(states=states, initial="FREE", transitions=transitions, default=default)
 
 
 def _camera_spec(**overrides):
@@ -121,7 +121,7 @@ def _camera_spec(**overrides):
     )
     fields = dict(
         name="CameraRelease",
-        automaton=_automaton(
+        **_automaton(
             (
                 Transition("FREE", open_, "HELD", PASS),
                 Transition("HELD", release, "FREE", PASS),
@@ -143,15 +143,17 @@ def _camera_spec(**overrides):
 class TestAutomatonStructure:
     def test_unknown_target_state_rejected(self):
         with pytest.raises(ValueError, match="unknown state X"):
-            _automaton((Transition("FREE", pat(API, "a"), "X", PASS),))
+            PolicySpec("P", **_automaton((Transition("FREE", pat(API, "a"), "X", PASS),)))
 
     def test_duplicate_state_rejected(self):
         with pytest.raises(ValueError, match="duplicate state FREE"):
-            _automaton((), states=("FREE", "FREE"))
+            PolicySpec("P", **_automaton((), states=("FREE", "FREE")))
 
     def test_initial_must_be_declared(self):
         with pytest.raises(ValueError, match="unknown state FREE"):
-            EditAutomaton(states=("A",), initial="FREE", transitions=(), default=DefaultAction.ALLOW)
+            PolicySpec(
+                "P", states=("A",), initial="FREE", transitions=(), default=DefaultAction.ALLOW
+            )
 
     def test_transition_pattern_must_be_in_alphabet(self):
         with pytest.raises(ValueError, match="not in the alphabet"):
@@ -162,6 +164,76 @@ class TestAutomatonStructure:
             _camera_spec(instancing=Instancing.PER_BINDER, binder_attr="service")
 
 
+_A = pat(API, "a")
+# Specs with two faults each, and the one the constructor reports: it checks
+# the states, then the kind's own transition rule, then the shared rules.
+_FIRST_ERRORS = [
+    pytest.param(
+        PolicySpec, dict(transitions=(Transition("S", _A, "X", PASS),)), "unknown state X",
+        id="policy-unknown-target-and-off-alphabet",
+    ),
+    pytest.param(
+        PolicySpec,
+        dict(name="bad name", transitions=(Transition("S", _A, "S", None),), alphabet=(_A,)),
+        "transition S -> S is missing an output template",
+        id="policy-missing-output-and-bad-name",
+    ),
+    pytest.param(
+        PolicySpec, dict(name="bad name", states=("S", "S")), "duplicate state S",
+        id="policy-duplicate-state-and-bad-name",
+    ),
+    pytest.param(
+        PolicySpec, dict(statement="a\nb", alphabet=(_A, _A)), "statement must be a single line",
+        id="policy-multiline-statement-and-duplicate-pattern",
+    ),
+    pytest.param(
+        PolicySpec,
+        dict(transitions=(Transition("S", _A, "S", PASS),), instancing=Instancing.PER_BINDER),
+        "pattern 'api a' is not in the alphabet",
+        id="policy-off-alphabet-and-per-binder-without-binder",
+    ),
+    pytest.param(
+        MonitorAutomaton,
+        dict(
+            error_states=frozenset({"BAD"}),
+            transitions=(Transition("BAD", _A, "S", None),),
+            alphabet=(_A, _A),
+        ),
+        "error state BAD must not have outgoing transitions",
+        id="monitor-error-state-exit-and-duplicate-pattern",
+    ),
+    pytest.param(
+        MonitorAutomaton,
+        dict(error_states=frozenset({"X"}), transitions=(Transition("S", _A, "S", PASS),)),
+        "unknown state X",
+        id="monitor-unknown-error-state-and-output",
+    ),
+    pytest.param(
+        MonitorAutomaton,
+        dict(name="bad name", transitions=(Transition("S", _A, "S", PASS),), alphabet=(_A,)),
+        "monitor transitions must not carry outputs",
+        id="monitor-output-and-bad-name",
+    ),
+    pytest.param(
+        MonitorAutomaton, dict(initial="Z", error_states=frozenset({"X"})), "unknown state Z",
+        id="monitor-unknown-initial-and-unknown-error-state",
+    ),
+    pytest.param(
+        MonitorAutomaton,
+        dict(name="bad name", binder_attr="k", alphabet=(pat(API, "a", k="$v"),)),
+        "monitor name 'bad name' must be a non-empty run of [A-Za-z0-9_.-]",
+        id="monitor-bad-name-and-stray-binder-attr",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, fields, message", _FIRST_ERRORS)
+def test_first_error_is_unchanged(cls, fields, message):
+    with pytest.raises(ValueError) as exc:
+        cls(**{"name": "X", "states": ("S", "BAD"), "initial": "S", **fields})
+    assert str(exc.value) == message
+
+
 class TestValidatePolicy:
     def test_camera_policy_is_clean(self, camera_policy):
         assert validate_policy(camera_policy) == []
@@ -169,7 +241,7 @@ class TestValidatePolicy:
     def test_nondeterminism_is_an_error(self):
         pause = pat(CB, "onPause")
         spec = _camera_spec(
-            automaton=_automaton(
+            **_automaton(
                 (
                     Transition("FREE", pause, "FREE", PASS),
                     Transition("FREE", pause, "HELD", PASS),
@@ -186,15 +258,13 @@ class TestValidatePolicy:
         b = pat(API, "registerService", service="$s")
         spec = PolicySpec(
             name="P",
-            automaton=EditAutomaton(
-                states=("S",),
-                initial="S",
-                transitions=(
-                    Transition("S", a, "S", PASS),
-                    Transition("S", b, "S", PASS),
-                ),
-                default=DefaultAction.ALLOW,
+            states=("S",),
+            initial="S",
+            transitions=(
+                Transition("S", a, "S", PASS),
+                Transition("S", b, "S", PASS),
             ),
+            default=DefaultAction.ALLOW,
             alphabet=(a, b),
             instancing=Instancing.PER_BINDER,
             binder_attr="service",
@@ -206,22 +276,20 @@ class TestValidatePolicy:
         b = pat(API, "registerService", service="S2")
         spec = PolicySpec(
             name="P",
-            automaton=EditAutomaton(
-                states=("S",),
-                initial="S",
-                transitions=(
-                    Transition("S", a, "S", PASS),
-                    Transition("S", b, "S", PASS),
-                ),
-                default=DefaultAction.ALLOW,
+            states=("S",),
+            initial="S",
+            transitions=(
+                Transition("S", a, "S", PASS),
+                Transition("S", b, "S", PASS),
             ),
+            default=DefaultAction.ALLOW,
             alphabet=(a, b),
         )
         assert validate_policy(spec) == []
 
     def test_unreachable_state_is_a_warning(self):
         spec = _camera_spec(
-            automaton=_automaton((), states=("FREE", "ZOMBIE")),
+            **_automaton((), states=("FREE", "ZOMBIE")),
             alphabet=(),
         )
         diags = validate_policy(spec)
@@ -231,7 +299,7 @@ class TestValidatePolicy:
     def test_off_alphabet_synthesis_is_a_warning(self):
         open_ = pat(API, "Camera.open")
         spec = _camera_spec(
-            automaton=_automaton(
+            **_automaton(
                 (
                     Transition(
                         "FREE",
@@ -252,7 +320,7 @@ class TestValidatePolicy:
     def test_suppressing_a_callback_is_a_warning(self):
         pause = pat(CB, "onPause")
         spec = _camera_spec(
-            automaton=_automaton((Transition("FREE", pause, "FREE", OutputTemplate(())),)),
+            **_automaton((Transition("FREE", pause, "FREE", OutputTemplate(())),)),
             alphabet=(pause,),
         )
         diags = validate_policy(spec)
@@ -261,7 +329,7 @@ class TestValidatePolicy:
     def test_suppressing_an_api_call_is_not_flagged(self):
         open_ = pat(API, "Camera.open")
         spec = _camera_spec(
-            automaton=_automaton(
+            **_automaton(
                 (Transition("FREE", open_, "FREE", OutputTemplate(())),),
                 states=("FREE",),
             ),
@@ -333,9 +401,10 @@ def test_determinism_check_is_sound(patterns):
     transitions = tuple(Transition("S", p, "S", PASS) for p in patterns)
     spec = PolicySpec(
         name="P",
-        automaton=EditAutomaton(
-            states=("S",), initial="S", transitions=transitions, default=DefaultAction.ALLOW
-        ),
+        states=("S",),
+        initial="S",
+        transitions=transitions,
+        default=DefaultAction.ALLOW,
         alphabet=tuple(patterns),
     )
     nondet = [d for d in validate_policy(spec) if d.severity is Severity.ERROR]

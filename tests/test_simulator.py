@@ -5,7 +5,6 @@ import pytest
 from enforcekit import (
     ApiCallStep,
     DeniedAcquire,
-    EditAutomaton,
     Event,
     EventKind,
     EventPattern,
@@ -132,6 +131,11 @@ class TestParseScenario:
             ("lifecycle activity\ncomponent A1\ntoggle M sideways\n", 3, "expected 'on' or 'off'"),
             ("lifecycle activity\ncomponent A1\ncall A1 f x\n", 3, "expected attribute 'key=value'"),
             ("lifecycle activity\ncomponent A1\nlc A1\n", 3, "expected 'lc <component> <callback>'"),
+            (
+                "lifecycle activity\ncomponent A1\ncall A1 setTimer timer=t1 timer=t2\n",
+                3,
+                "duplicate attribute 'timer'",
+            ),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line, fragment):
@@ -336,7 +340,9 @@ class TestRunScenario:
         pause = EventPattern(CB, "onPause")
         gag = PolicySpec(
             "Gag",
-            EditAutomaton(("S",), "S", (Transition("S", pause, "S", OutputTemplate(())),)),
+            ("S",),
+            "S",
+            (Transition("S", pause, "S", OutputTemplate(())),),
             alphabet=(pause,),
         )
         text = (
