@@ -13,16 +13,19 @@ stay immutable throughout.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .events import Event, Trace
+from .events import Event, EventKind, Trace, _Attrs, _trusted
 from .policy import (
     Binder,
     DefaultAction,
     DispatchError,
     EventPattern,
     InputRef,
+    InstanceKey,
+    Instancing,
     PolicySpec,
 )
 
@@ -97,6 +100,11 @@ class AutomatonInstance:
 def _instantiate_template(
     items: Sequence, event: Event, bindings: dict[str, str]
 ) -> list[Event]:
+    """The template's events for ``event``, built without validating again.
+
+    :class:`SynthEvent` checked each item's name, keys and literals, and
+    every binder value comes from the attributes of a validated event.
+    """
     out: list[Event] = []
     for item in items:
         if isinstance(item, InputRef):
@@ -115,26 +123,33 @@ def _instantiate_template(
             else:
                 attrs[key] = constraint.value
         out.append(
-            Event(
-                item.kind,
-                item.name,
-                event.component,
-                seq=event.seq,
-                synthetic=True,
-                attrs=attrs,
-            )
+            _trusted(item.kind, item.name, event.component, event.seq, True, _Attrs(attrs))
         )
     return out
 
 
 @dataclass
 class ProactiveModule:
-    """A policy wired into the pipeline with an activation flag."""
+    """A policy wired into the pipeline with an activation flag.
+
+    Under per-binder instancing the module also keeps each component's
+    live instance keys in ascending order, so a broadcast reads its
+    component's keys instead of scanning every live one. The index is
+    built from the ``instances`` the module starts with; after that,
+    change instances only through the module's methods (``reset``, or
+    stepping events), which keep the index in step.
+    """
 
     policy: PolicySpec
     priority: int = 0
     active: bool = True
-    instances: dict[tuple[str, ...], AutomatonInstance] = field(default_factory=dict)
+    instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict)
+    _keys_by_component: dict[str, list[InstanceKey]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self._reindex()
 
     @property
     def name(self) -> str:
@@ -147,26 +162,58 @@ class ProactiveModule:
     def reset(self) -> None:
         """Forget every instance; fresh ones start at the initial state."""
         self.instances.clear()
+        self._keys_by_component.clear()
 
     def _select_instances(
         self, event: Event, pattern: EventPattern
     ) -> list[AutomatonInstance]:
         """Instances addressed by a matching event, created lazily.
 
-        :meth:`AutomatonCore.route` picks the keys; a broadcast creates no
-        instance, so with none live it simply passes.
+        :meth:`AutomatonCore.route` picks the keys. It is handed the live
+        keys of the event's component only, which are all a broadcast can
+        address; a broadcast creates no instance, so with none live it
+        simply passes.
         """
-        keys, bindings = self.policy.core.route(event, pattern, self.instances)
+        live = self._keys_by_component.get(event.component, ())
+        keys, bindings = self.policy.core.route(event, pattern, live)
         selected = []
         for key in keys:
             instance = self.instances.get(key)
             if instance is None:
                 instance = AutomatonInstance(self.policy, key, self.policy.core.initial)
                 self.instances[key] = instance
+                if self.policy.instancing is Instancing.PER_BINDER:
+                    insort(self._keys_by_component.setdefault(key[0], []), key)
             if bindings:
                 instance.bindings.update(bindings)
             selected.append(instance)
         return selected
+
+    def _snapshot(self) -> tuple[tuple[InstanceKey, str, dict[str, str]], ...]:
+        """(key, state, bindings) of every live instance, for :meth:`_restore`.
+
+        The bindings are the instances' own dicts: the caller must not
+        step these instances again before it restores the snapshot.
+        """
+        return tuple((k, i.current, i.bindings) for k, i in self.instances.items())
+
+    def _restore(
+        self, saved: tuple[tuple[InstanceKey, str, dict[str, str]], ...]
+    ) -> None:
+        """Replace every instance with fresh copies of the saved ones."""
+        instances, policy = self.instances, self.policy
+        instances.clear()
+        for key, state, bindings in saved:
+            instances[key] = AutomatonInstance(policy, key, state, dict(bindings))
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the per-component key index from ``instances``."""
+        index = self._keys_by_component
+        index.clear()
+        if self.policy.instancing is Instancing.PER_BINDER:
+            for key in sorted(self.instances):
+                index.setdefault(key[0], []).append(key)
 
 
 @dataclass
@@ -224,21 +271,34 @@ class EnforcementReport:
 
 @dataclass
 class ModuleRegistry:
-    """Proactive modules ordered by priority, plus the insertion bound."""
+    """Proactive modules ordered by priority, plus the insertion bound.
 
-    modules: list[ProactiveModule] = field(default_factory=list)
+    The modules are fixed at construction, as a tuple in priority order,
+    and indexed by the (kind, name) pairs of their alphabets: an event
+    outside every alphabet then passes without visiting any module.
+    """
+
+    modules: tuple[ProactiveModule, ...] = ()
     insert_depth_limit: int = 16
+    _candidates: dict[tuple[EventKind, str], tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.insert_depth_limit < 1:
             raise ValueError("insert_depth_limit must be a positive integer")
-        self.modules = sorted(self.modules, key=lambda m: m.priority)
+        self.modules = tuple(sorted(self.modules, key=lambda m: m.priority))
         priorities = [m.priority for m in self.modules]
         if len(set(priorities)) != len(priorities):
             raise ValueError("module priorities must be unique")
         names = [m.name for m in self.modules]
         if len(set(names)) != len(names):
             raise ValueError("module names must be unique")
+        candidates: dict[tuple[EventKind, str], list[int]] = {}
+        for idx, module in enumerate(self.modules):
+            for kind_name in module.policy.core.alphabet:
+                candidates.setdefault(kind_name, []).append(idx)
+        self._candidates = {key: tuple(idxs) for key, idxs in candidates.items()}
 
     @classmethod
     def from_policies(
@@ -290,6 +350,8 @@ def _apply_module(
     suppressed = False
     for instance in module._select_instances(event, pattern):
         outputs = instance.step(event)
+        if len(outputs) == 1 and outputs[0] is event:
+            continue  # passed unchanged
         for position, emitted in enumerate(outputs):
             if emitted is event:
                 pre.extend(outputs[:position])
@@ -300,7 +362,9 @@ def _apply_module(
             pre.extend(outputs)
     emit_input = not suppressed
     if report is not None:
-        counts = report.counts.setdefault(module.name, ModuleCounts())
+        counts = report.counts.get(module.name)
+        if counts is None:
+            counts = report.counts[module.name] = ModuleCounts()
         counts.inserted += len(pre) + len(post)
         if emit_input:
             counts.passed += 1
@@ -330,22 +394,25 @@ def _dispatch(
     origin_seq: int,
 ) -> list[Event]:
     modules = registry.modules
-    for idx in range(start, len(modules)):
+    for idx in registry._candidates.get((event.kind, event.name), ()):
         module = modules[idx]
-        if not module.active:
+        if idx < start or not module.active:
             continue
         pattern = module.alphabet_match(event)
         if pattern is None:
             continue
         pre, emit_input, post = _apply_module(module, event, pattern, report, origin_seq)
-        limit = registry.insert_depth_limit
-        next_chain = chain + (module.name,)
-        if (pre or post) and depth + 1 > limit:
-            raise EnforcementError(
-                f"insertion depth limit {limit} exceeded "
-                f"(module chain: {' -> '.join(next_chain)})",
-                seq=origin_seq,
-            )
+        if pre or post:
+            limit = registry.insert_depth_limit
+            next_chain = chain + (module.name,)
+            if depth + 1 > limit:
+                raise EnforcementError(
+                    f"insertion depth limit {limit} exceeded "
+                    f"(module chain: {' -> '.join(next_chain)})",
+                    seq=origin_seq,
+                )
+        if idx + 1 == len(modules):  # no module downstream to pass them to
+            return [*pre, event, *post] if emit_input else pre + post
         out: list[Event] = []
         for synth in pre:
             out.extend(

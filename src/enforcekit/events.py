@@ -3,12 +3,19 @@
 Everything else in the toolkit is built on the types in this module. All
 values are immutable and all operations are pure functions, so they can be
 shared freely between threads.
+
+An event's fields are checked once, where it enters the program: by
+:class:`Event` itself (and so by ``Event.cb``, ``Event.api`` and
+:func:`parse_event_literal`), and by :func:`parse_trace`, whose line pattern
+admits only valid fields. Copies made inside the toolkit, such as
+renumbered events, synthesized events and the verifier's positioned
+alphabet, reuse fields that were checked already and skip the checks.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -68,6 +75,15 @@ def _check_ident(value: str, what: str) -> None:
         )
 
 
+def _set_kind(value) -> None:
+    """Coerce a frozen dataclass's ``kind`` field to :class:`EventKind`.
+
+    An unknown kind raises ``ValueError``.
+    """
+    if type(value.kind) is not EventKind:
+        object.__setattr__(value, "kind", EventKind(value.kind))
+
+
 class _Attrs(dict):
     """A read-only dict: the attributes an :class:`Event` owns.
 
@@ -114,8 +130,11 @@ class Event:
     attrs: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        _set_kind(self)
         _check_ident(self.name, "event name")
         _check_ident(self.component, "component")
+        if not isinstance(self.seq, int) or isinstance(self.seq, bool):
+            raise TypeError(f"seq must be an int, got {self.seq!r}")
         if self.seq < 0:
             raise ValueError(f"seq must be non-negative, got {self.seq}")
         if type(self.attrs) is not _Attrs:
@@ -144,6 +163,29 @@ class Event:
             pairs = ",".join(f"{k}={self.attrs[k]}" for k in sorted(self.attrs))
             body += "{" + pairs + "}"
         return body
+
+
+_new_event = object.__new__
+_set_field = object.__setattr__
+
+
+def _trusted(
+    kind: EventKind, name: str, component: str, seq: int, synthetic: bool, attrs: _Attrs
+) -> Event:
+    """An :class:`Event` from fields that were validated already, unchecked.
+
+    ``attrs`` must already be an ``_Attrs``. The fields are set as the
+    dataclass's own ``__init__`` sets them, so the event cannot be told
+    from a validated one.
+    """
+    event = _new_event(Event)
+    _set_field(event, "kind", kind)
+    _set_field(event, "name", name)
+    _set_field(event, "component", component)
+    _set_field(event, "seq", seq)
+    _set_field(event, "synthetic", synthetic)
+    _set_field(event, "attrs", attrs)
+    return event
 
 
 def parse_event_literal(text: str) -> Event:
@@ -210,17 +252,59 @@ class Trace:
     @staticmethod
     def renumbered(events: Iterable[Event]) -> "Trace":
         """Build a trace from events in order, assigning seq 1..n."""
-        return Trace(tuple(replace(e, seq=i) for i, e in enumerate(events, 1)))
+        return Trace(
+            tuple(
+                _trusted(e.kind, e.name, e.component, i, e.synthetic, e.attrs)
+                for i, e in enumerate(events, 1)
+            )
+        )
+
+
+_KINDS = {kind.value: kind for kind in EventKind}
+# A whole valid trace line from the seq on: this one match checks every field.
+_LINE_RE = re.compile(
+    f"([0-9]+) (!?)(cb|api):({_IDENT_CHAR}+)@({_IDENT_CHAR}+)"
+    f"((?: {_IDENT_CHAR}+={_IDENT_CHAR}+)*)"
+)
+_NO_ATTRS = _Attrs()  # read-only, so every attribute-less line can share it
+
+
+def _matched_event(match: re.Match | None) -> Event | None:
+    """The event a :data:`_LINE_RE` match spells, or None if it has none.
+
+    None for no match, a repeated attribute key, or a seq with more
+    digits than ``int()`` converts.
+    """
+    if match is None:
+        return None
+    seq_text, bang, kind, name, component, tail = match.groups()
+    attrs = _NO_ATTRS
+    if tail:
+        pairs = [token.split("=") for token in tail[1:].split(" ")]
+        attrs = _Attrs(pairs)
+        if len(attrs) != len(pairs):
+            return None
+    try:
+        seq = int(seq_text)
+    except ValueError:
+        return None
+    return _trusted(_KINDS[kind], name, component, seq, bool(bang), attrs)
 
 
 def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
-    """Parse ``line[start:]``; error columns count from the start of ``line``."""
+    """Parse ``line[start:]`` field by field; columns count from the start of
+    ``line``. Runs only where :func:`_matched_event` gives None, so in
+    practice it raises :class:`TraceParseError` at the first bad field.
+    """
     n = len(line)
     digits = _SEQ_RE.match(line, start)
     if digits is None:
         raise TraceParseError("expected sequence number", lineno, start + 1)
     pos = digits.end()
-    seq = int(digits[0])
+    try:
+        seq = int(digits[0])
+    except ValueError:  # more digits than int() may convert
+        raise TraceParseError("sequence number is too long", lineno, start + 1) from None
     if pos >= n or line[pos] != " ":
         raise TraceParseError("expected space after sequence number", lineno, pos + 1)
     pos += 1
@@ -274,12 +358,16 @@ def parse_trace(text: str) -> Trace:
     """
     events: list[Event] = []
     prev_seq = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip()
-        start = len(line) - len(line.lstrip())
-        if start == len(line) or line[start] == "#":
-            continue
-        event = _parse_trace_line(line, lineno, start)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        start = 0
+        match = _LINE_RE.fullmatch(line)  # most lines: valid, nothing to strip
+        if match is None:
+            line = line.rstrip()
+            start = len(line) - len(line.lstrip())
+            if start == len(line) or line[start] == "#":
+                continue
+            match = _LINE_RE.fullmatch(line, start)
+        event = _matched_event(match) or _parse_trace_line(line, lineno, start)
         if event.seq <= prev_seq:
             raise TraceValidationError(f"non-monotone seq at line {lineno}")
         prev_seq = event.seq

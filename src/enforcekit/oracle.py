@@ -18,19 +18,18 @@ Counterexamples are listed shortest first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 # brute_force_verify no longer calls enforce_trace, but the benchmark's
 # tracer test expects this module to bind it (benchmarks/test_benchmark.py).
 from .enforcement import (
-    AutomatonInstance,
     EnforcementError,
     ModuleRegistry,
     _enforce_input,
     enforce_trace,  # noqa: F401
 )
-from .events import Event, Trace
+from .events import Event, Trace, _trusted
 from .policy import (
     Diagnostic,
     DispatchError,
@@ -156,11 +155,15 @@ def enumerate_traces(universe: EventUniverse) -> Iterator[Trace]:
 def _positioned(universe: EventUniverse) -> list[tuple[Event, ...]]:
     """The alphabet at every position: ``[pos][i]`` has seq ``pos + 1``.
 
-    Events are immutable, so each variant is built once and shared by
-    every trace that uses it.
+    Events are immutable, so each variant is built once, from the
+    validated alphabet event's fields, and shared by every trace that uses
+    it.
     """
     return [
-        tuple(replace(e, seq=pos) for e in universe.alphabet)
+        tuple(
+            _trusted(e.kind, e.name, e.component, pos, e.synthetic, e.attrs)
+            for e in universe.alphabet
+        )
         for pos in range(1, universe.max_len + 1)
     ]
 
@@ -205,7 +208,7 @@ def brute_force_verify(
     monitor steps on the new input event and on the events it emitted.
     """
     registry = ModuleRegistry.from_policies([policy])
-    instances = registry.modules[0].instances
+    module = registry.modules[0]
     positioned = _positioned(universe)
     max_len = universe.max_len
     # Failing traces of each kind as alphabet indices, by length; the walk
@@ -226,9 +229,7 @@ def brute_force_verify(
     while stack:
         depth, idx, parent = stack.pop()
         verdict.traces_checked += 1
-        instances.clear()
-        for key, state, bindings in parent.instances:
-            instances[key] = AutomatonInstance(policy, key, state, dict(bindings))
+        module._restore(parent.instances)
         event = positioned[depth - 1][idx]
         del path[depth - 1 :], inputs[depth - 1 :], output[parent.out_len :]
         path.append(idx)
@@ -268,7 +269,7 @@ def brute_force_verify(
             # The next node replaces these instances and copies the states,
             # so the node can hold them without copying.
             node = _Node(
-                tuple((k, i.current, i.bindings) for k, i in instances.items()),
+                module._snapshot(),
                 in_states, out_states, in_bad, out_bad, len(output), lcp,
             )
             stack += [(depth + 1, i, node) for i in children]
@@ -310,4 +311,10 @@ def _keep(bucket: list[tuple[int, ...]], path: list[int], limit: int) -> None:
 
 
 def _same_but_seq(a: Event, b: Event) -> bool:
-    return a is b or replace(a, seq=b.seq) == b
+    return a is b or (
+        a.kind is b.kind
+        and a.name == b.name
+        and a.component == b.component
+        and a.synthetic == b.synthetic
+        and a.attrs == b.attrs
+    )

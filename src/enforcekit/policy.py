@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Iterable, Union
 
-from .events import Event, EventKind, _check_ident
+from .events import Event, EventKind, _check_ident, _set_kind
 
 __all__ = [
     "Severity",
@@ -134,6 +134,7 @@ class EventPattern:
     constraints: tuple[tuple[str, Constraint], ...] = ()
 
     def __post_init__(self):
+        _set_kind(self)
         _check_ident(self.name, "pattern name")
         object.__setattr__(
             self, "constraints", _normalize_constraints(self.constraints, "pattern")
@@ -180,6 +181,7 @@ class SynthEvent:
     attrs: tuple[tuple[str, Constraint], ...] = ()
 
     def __post_init__(self):
+        _set_kind(self)
         _check_ident(self.name, "synthesized event name")
         object.__setattr__(
             self, "attrs", _normalize_constraints(self.attrs, "synthesized event")
@@ -305,7 +307,8 @@ class AutomatonCore:
         the attribute the pattern's binder names. Under per-binder
         instancing a binder-free pattern broadcasts: it addresses the keys
         in ``live`` that belong to the event's component, in ascending
-        order, and creates none. The binding maps the pattern's binder
+        order, and creates none, so ``live`` may hold every live key or
+        just the component's. The binding maps the pattern's binder
         variable to the event's value, when the event carries one.
 
         Missing binder attribute: an event that matches a binder pattern

@@ -278,6 +278,15 @@ class TestEnforce:
         assert out == ""
         assert err == f"error: {trace}: line 1, column 1: expected sequence number\n"
 
+    def test_overlong_seq(self, capsys, tmp_path):
+        # More digits than int() converts by default: an error, not a traceback.
+        trace = tmp_path / "bad.trace"
+        trace.write_text("9" * 5000 + " api:a@A1\n")
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, str(trace))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {trace}: line 1, column 1: sequence number is too long\n"
+
     def test_monitor_file_is_not_a_policy(self, capsys, leaky_trace):
         code, _, err = _run(capsys, "enforce", "-p", CAMERA_MONITOR, leaky_trace)
         assert code == 2

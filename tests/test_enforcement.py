@@ -1,5 +1,6 @@
 """Proactive enforcement pipeline: instances, fan-out, chaining, reports."""
 
+import dataclasses
 import doctest
 
 import pytest
@@ -16,6 +17,7 @@ from enforcekit import (
     ModuleRegistry,
     OutputTemplate,
     PolicySpec,
+    ProactiveModule,
     SynthEvent,
     Trace,
     Transition,
@@ -186,6 +188,18 @@ class TestBroadcast:
         )
         out, _ = enforce_trace(registry, trace)
         assert _literals(out.events)[3:] == [
+            "!api:unregisterService@B1{service=S2}",
+            "cb:stop@B1",
+        ]
+
+    def test_instances_given_at_construction_receive_broadcasts(self):
+        held = {
+            key: AutomatonInstance(OSGI, key, "REGISTERED", {"s": key[1]})
+            for key in [("B1", "S2"), ("B1", "S1"), ("B2", "S3")]
+        }
+        registry = ModuleRegistry([ProactiveModule(OSGI, instances=held)])
+        assert _literals(enforce_event(registry, Event.cb("stop", "B1", seq=1))) == [
+            "!api:unregisterService@B1{service=S1}",
             "!api:unregisterService@B1{service=S2}",
             "cb:stop@B1",
         ]
@@ -574,3 +588,47 @@ def test_report_accounts_for_every_length_change(events):
     assert len(out.events) - len(trace.events) == report.delta
     total = report.total
     assert len(report.records) == total.inserted + total.suppressed
+
+
+def _sorted_scan(module, component: str) -> list:
+    """A broadcast's keys as routing found them before the per-component
+    index: every live key scanned, the component's kept and sorted."""
+    return sorted(key for key in module.instances if key[0] == component)
+
+
+@given(
+    st.lists(
+        st.one_of(_bundle_events(), st.sampled_from(["reset", "off", "on", "save", "restore"])),
+        max_size=24,
+    )
+)
+def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
+    registry = _registry(CAMERA, OSGI)
+    module = registry.module("OsgiUnregister")
+    core = module.policy.core
+    saved = module._snapshot()
+    for seq, op in enumerate(ops, 1):
+        if op == "reset":
+            registry.reset()
+        elif op in ("off", "on"):
+            registry.set_active(module.name, op == "on")
+        elif op == "save":
+            # The verify walk's snapshot, copied so later steps leave it be.
+            saved = tuple((key, state, dict(b)) for key, state, b in module._snapshot())
+        elif op == "restore":
+            module._restore(saved)
+        else:
+            event = dataclasses.replace(op, seq=seq)
+            if event.name == "stop":
+                pattern = core.match(event)
+                expected = _sorted_scan(module, event.component)
+                indexed = module._keys_by_component.get(event.component, ())
+                assert core.route(event, pattern, indexed)[0] == expected
+                assert core.route(event, pattern, module.instances)[0] == expected
+            enforce_event(registry, event)
+        for component in ("B1", "B2"):
+            indexed = module._keys_by_component.get(component, [])
+            assert indexed == _sorted_scan(module, component)
+    module._restore(module._snapshot())  # as the verify walk does at each node
+    for component in ("B1", "B2"):
+        assert module._keys_by_component.get(component, []) == _sorted_scan(module, component)

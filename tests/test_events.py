@@ -1,7 +1,9 @@
 """Event model: trace parsing/serialization and lifecycle replay."""
 
 import copy
+import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,14 +11,22 @@ from hypothesis import given, strategies as st
 from enforcekit import (
     Event,
     EventKind,
+    EventPattern,
+    EventUniverse,
+    ModuleRegistry,
+    SynthEvent,
     Trace,
     TraceParseError,
     TraceValidationError,
+    enforce_trace,
     parse_event_literal,
+    parse_policy,
     parse_trace,
     serialize_trace,
     validate_lifecycle,
 )
+from enforcekit.events import _Attrs
+from enforcekit.oracle import _positioned
 from enforcekit.simulator import builtin_lifecycle
 
 
@@ -64,14 +74,17 @@ _PARSE_ERRORS = [
     # Columns count from the start of the line, leading blanks included.
     ("   x api:a@A1", "expected sequence number", 4),
     ("\t1 rpc:a@A1", "unknown event kind", 4),
+    # More digits than int() converts by default (4,300).
+    ("9" * 5000 + " api:a@A1", "sequence number is too long", 1),
+    ("  " + "9" * 5000 + " rpc:a@A1", "sequence number is too long", 3),
 ]
 
 
-# Case ids name the line and the message only, so adding a case's column
-# does not rename the case.
+# Case ids name the line, cut to 40 characters, and the message only, so
+# adding a case's column does not rename the case.
 @pytest.mark.parametrize(
     "line, fragment, column",
-    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _PARSE_ERRORS],
+    [pytest.param(*case, id=f"{case[0][:40]}-{case[1]}") for case in _PARSE_ERRORS],
 )
 def test_parse_errors_carry_position(line, fragment, column):
     with pytest.raises(TraceParseError, match=fragment) as exc:
@@ -125,6 +138,36 @@ def test_event_validates_identifiers():
         Event.api("ok", "")
     with pytest.raises(ValueError):
         Event.api("ok", "A1", k="bad value")
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        pytest.param(lambda: Event("api", "a", "C1").literal(), "api:a@C1", id="Event-str-kind"),
+        pytest.param(lambda: EventPattern("api", "a").text(), "api a", id="pattern-str-kind"),
+        pytest.param(
+            lambda: EventPattern("cb", "a").matches(Event.cb("a", "C1")),
+            True,
+            id="pattern-str-kind-matches",
+        ),
+        pytest.param(lambda: SynthEvent("api", "a").text(), "api a", id="synth-str-kind"),
+        pytest.param(lambda: Event("rpc", "a", "C1"), ValueError, id="Event-bad-kind"),
+        pytest.param(lambda: EventPattern("rpc", "a"), ValueError, id="pattern-bad-kind"),
+        pytest.param(lambda: SynthEvent("rpc", "a"), ValueError, id="synth-bad-kind"),
+        pytest.param(lambda: Event.api("a", "C1", 1.5), TypeError, id="float-seq"),
+        pytest.param(lambda: Event.api("a", "C1", True), TypeError, id="bool-seq"),
+        pytest.param(lambda: Event.api("a", "C1", "1"), TypeError, id="str-seq"),
+        pytest.param(lambda: Event.api("a", "C1", -1), ValueError, id="negative-seq"),
+    ],
+)
+def test_constructors_enforce_kind_and_seq_types(build, expected):
+    # A kind given as its text is coerced to EventKind; anything else that
+    # would build an event no parser can read back is refused.
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            build()
+    else:
+        assert build() == expected
 
 
 def test_event_keeps_a_read_only_copy_of_attrs():
@@ -249,3 +292,193 @@ def test_lifecycle_validation_is_prefix_monotone(names):
     for cut in range(len(names)):
         prefix = validate_lifecycle(_cbs(*names[:cut]), model, "A1")
         assert prefix == full[: len(prefix)]
+
+
+# --- the trace-line parser against the field-by-field one ----------------
+
+
+def _reference_parse_trace_line(line: str, lineno: int, start: int) -> Event:
+    """Each line parsed field by field, as before the one-pattern parser.
+
+    The only change is the check of an over-long seq, which the old parser
+    let through to ``int()`` as a bare ``ValueError``.
+    """
+    n = len(line)
+    digits = re.compile("[0-9]+").match(line, start)
+    if digits is None:
+        raise TraceParseError("expected sequence number", lineno, start + 1)
+    pos = digits.end()
+    try:
+        seq = int(digits[0])
+    except ValueError:
+        raise TraceParseError("sequence number is too long", lineno, start + 1) from None
+    if pos >= n or line[pos] != " ":
+        raise TraceParseError("expected space after sequence number", lineno, pos + 1)
+    pos += 1
+    synthetic = False
+    if pos < n and line[pos] == "!":
+        synthetic = True
+        pos += 1
+    colon = line.find(":", pos)
+    if colon < 0:
+        raise TraceParseError("expected 'cb:' or 'api:'", lineno, pos + 1)
+    kind_text = line[pos:colon]
+    if kind_text not in ("cb", "api"):
+        raise TraceParseError(f"unknown event kind {kind_text!r}", lineno, pos + 1)
+    at = line.find("@", colon + 1)
+    if at < 0:
+        raise TraceParseError("expected '@' before component", lineno, colon + 2)
+    name = line[colon + 1 : at]
+    end = line.find(" ", at + 1)
+    if end < 0:
+        end = n
+    component = line[at + 1 : end]
+    attrs: dict[str, str] = {}
+    pos = end
+    while pos < n:
+        pos += 1  # skip the single separating space
+        tok_end = line.find(" ", pos)
+        if tok_end < 0:
+            tok_end = n
+        token = line[pos:tok_end]
+        key, eq, value = token.partition("=")
+        if not eq or not key:
+            raise TraceParseError(
+                f"expected attribute 'key=value', got {token!r}", lineno, pos + 1
+            )
+        if key in attrs:
+            raise TraceParseError(f"duplicate attribute {key!r}", lineno, pos + 1)
+        attrs[key] = value
+        pos = tok_end
+    try:
+        return Event(EventKind(kind_text), name, component, seq, synthetic, attrs)
+    except ValueError as err:
+        raise TraceParseError(str(err), lineno, colon + 2) from err
+
+
+def reference_parse_trace(text: str) -> Trace:
+    """:func:`parse_trace` as it was before the one-pattern line parser."""
+    events: list[Event] = []
+    prev_seq = -1
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.rstrip()
+        start = len(line) - len(line.lstrip())
+        if start == len(line) or line[start] == "#":
+            continue
+        event = _reference_parse_trace_line(line, lineno, start)
+        if event.seq <= prev_seq:
+            raise TraceValidationError(f"non-monotone seq at line {lineno}")
+        prev_seq = event.seq
+        events.append(event)
+    return Trace(tuple(events))
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except TraceParseError as err:
+        return type(err), str(err), err.line, err.column
+    except TraceValidationError as err:
+        return type(err), str(err)
+
+
+def _mutate(line: str, edits) -> str:
+    for position, replacement in edits:
+        at = position % (len(line) + 1)
+        line = line[:at] + replacement + line[at + 1 :]
+    return line
+
+
+# Trace lines as the README and the CLI tests write them.
+_SHIPPED_LINES = [
+    "1 api:Camera.open@A1",
+    "2 cb:onPause@A1",
+    "3 !api:unregisterService@B1 service=S1",
+    "4 api:setTimer@C1 timer=T1",
+    "# a comment",
+    "   ",
+]
+# Mutations replace one character with a piece; "" deletes it.
+_PIECES = [
+    "", "!", ":", "@", "=", " ", "  ", "\t", "\u00b2", "\u0663", "#", "a", "k=v", "k=w",
+    "cb", "api", "rpc", "1", "0", "9" * 4301, "9" * 30,
+]
+_piece = st.sampled_from(_PIECES)
+_valid_line = st.one_of(
+    st.sampled_from(_SHIPPED_LINES),
+    st.lists(_event, min_size=1, max_size=3).map(
+        lambda events: serialize_trace(Trace.renumbered(events))
+    ),
+)
+_mutated_line = st.builds(
+    _mutate, _valid_line, st.lists(st.tuples(st.integers(0, 200), _piece), max_size=3)
+)
+_random_line = st.lists(_piece, max_size=12).map("".join)
+
+
+@given(st.lists(st.one_of(_valid_line, _mutated_line, _random_line), max_size=4))
+def test_line_parser_agrees_with_the_field_by_field_parser(chunks):
+    text = "\n".join(chunks)
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 api:a@A1 k=v k=w",
+        "1 api:a@A1 k=v  x=y",
+        "1 api:a@A1 k==v",
+        "1 api:a@A1 k=v=w",
+        "1 api:a@A1\t k=v",
+        "1 !!api:a@A1",
+        "01 api:a@A1\n2 cb:b@B2 x=\u00b2",
+    ],
+)
+def test_line_parser_agrees_on_near_misses(text):
+    assert _outcome(parse_trace, text) == _outcome(reference_parse_trace, text)
+
+
+# --- events copied without validation -----------------------------------
+
+_ECHO = parse_policy(
+    """
+policy Echo
+instantiate per-binder key
+alphabet api put{key=$v}
+initial S
+state S:
+  on api put{key=$v} -> S emit [api echo{key=$v, tag=T1}, $in]
+end
+"""
+)
+
+
+def _assert_indistinguishable(copied: Event, validated: Event) -> None:
+    assert copied == validated
+    assert hash(copied) == hash(validated)
+    assert repr(copied) == repr(validated)
+    assert type(copied.attrs) is _Attrs
+    with pytest.raises(TypeError):
+        copied.attrs["key"] = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copied.seq = 99
+    assert pickle.loads(pickle.dumps(copied)) == copied
+    assert copy.deepcopy(copied) == copied
+    assert repr(pickle.loads(pickle.dumps(copied))) == repr(copied)
+
+
+@given(_ident, _ident, st.booleans(), _attrs)
+def test_copied_events_cannot_be_told_from_validated_ones(component, value, flag, attrs):
+    event = Event(EventKind.API_CALL, "put", component, 7, flag, {**attrs, "key": value})
+    renumbered = Trace.renumbered([event])[0]
+    _assert_indistinguishable(renumbered, dataclasses.replace(event, seq=1))
+    positioned = _positioned(EventUniverse((event,), max_len=2))[1][0]
+    _assert_indistinguishable(positioned, dataclasses.replace(event, seq=2))
+    text = serialize_trace(Trace((event,)))
+    _assert_indistinguishable(parse_trace(text)[0], reference_parse_trace(text)[0])
+    enforced, _report = enforce_trace(ModuleRegistry.from_policies([_ECHO]), Trace((event,)))
+    synthesized = Event(
+        EventKind.API_CALL, "echo", component, 1, True, {"key": value, "tag": "T1"}
+    )
+    _assert_indistinguishable(enforced[0], synthesized)
+    _assert_indistinguishable(enforced[1], dataclasses.replace(event, seq=2))

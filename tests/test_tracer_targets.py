@@ -1,0 +1,59 @@
+"""The names the benchmark's tracer patches must still exist.
+
+``benchmarks/tracing.py`` wraps enforcekit functions and methods by name.
+A refactor that renames or drops one of them would otherwise break only
+the traced benchmark runs, which tier-1 does not exercise.
+"""
+
+import importlib
+import importlib.util
+from types import SimpleNamespace
+
+import pytest
+
+from conftest import ROOT
+
+_spec = importlib.util.spec_from_file_location(
+    "enforcekit_bench_tracing", ROOT / "benchmarks" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+LAYERS = ("events", "dsl", "policy", "enforcement", "oracle", "simulator", "cli")
+
+
+def _layer(name: str):
+    return importlib.import_module(f"enforcekit.{name}")
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [(m, a) for m, a, _ in tracing.SPANNED_FUNCTIONS + tracing.COUNTED_FUNCTIONS]
+    + [("oracle", "enumerate_traces"), ("oracle", "enforce_trace")],
+)
+def test_patched_functions_resolve(module, attr):
+    assert callable(getattr(_layer(module), attr))
+
+
+@pytest.mark.parametrize(
+    "module, cls, attr",
+    [(m, c, a) for m, c, a, _ in tracing.COUNTED_METHODS]
+    + [("enforcement", "ProactiveModule", "alphabet_match")],
+)
+def test_patched_methods_are_defined_on_their_class(module, cls, attr):
+    assert callable(vars(getattr(_layer(module), cls))[attr])
+
+
+def test_renumbered_is_a_staticmethod_of_trace():
+    assert isinstance(vars(_layer("events").Trace)["renumbered"], staticmethod)
+
+
+def test_tracer_installs_and_restores_cleanly():
+    mods = SimpleNamespace(**{name: _layer(name) for name in LAYERS})
+    before = {name: dict(vars(mod)) for name, mod in vars(mods).items()}
+    renumbered = vars(mods.events.Trace)["renumbered"]
+    with tracing.Tracer(mods):
+        assert vars(mods.events.Trace)["renumbered"] is not renumbered
+    assert vars(mods.events.Trace)["renumbered"] is renumbered
+    for name, mod in vars(mods).items():
+        assert all(vars(mod)[attr] is value for attr, value in before[name].items())
