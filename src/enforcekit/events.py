@@ -15,6 +15,7 @@ alphabet, reuse fields that were checked already and skip the checks.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -109,6 +110,9 @@ class _Attrs(dict):
         return (_Attrs, (dict(self),))
 
 
+_NO_ATTRS = _Attrs()  # read-only, so every attribute-less event can share it
+
+
 @dataclass(frozen=True)
 class Event:
     """One intercepted occurrence: a lifecycle callback or an API call.
@@ -137,6 +141,12 @@ class Event:
             raise TypeError(f"seq must be an int, got {self.seq!r}")
         if self.seq < 0:
             raise ValueError(f"seq must be non-negative, got {self.seq}")
+        if self.seq.bit_length() > 2000:  # str() takes any int under 640 digits
+            try:
+                str(self.seq)
+            except ValueError:
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"seq has more than {limit} digits, str()'s limit") from None
         if type(self.attrs) is not _Attrs:
             object.__setattr__(self, "attrs", _Attrs(self.attrs))
         for key, value in self.attrs.items():
@@ -251,10 +261,13 @@ class Trace:
 
     @staticmethod
     def renumbered(events: Iterable[Event]) -> "Trace":
-        """Build a trace from events in order, assigning seq 1..n."""
+        """Build a trace from events in order, assigning seq 1..n.
+
+        An event already numbered by its position is kept, not copied.
+        """
         return Trace(
             tuple(
-                _trusted(e.kind, e.name, e.component, i, e.synthetic, e.attrs)
+                e if e.seq == i else _trusted(e.kind, e.name, e.component, i, e.synthetic, e.attrs)
                 for i, e in enumerate(events, 1)
             )
         )
@@ -266,7 +279,6 @@ _LINE_RE = re.compile(
     f"([0-9]+) (!?)(cb|api):({_IDENT_CHAR}+)@({_IDENT_CHAR}+)"
     f"((?: {_IDENT_CHAR}+={_IDENT_CHAR}+)*)"
 )
-_NO_ATTRS = _Attrs()  # read-only, so every attribute-less line can share it
 
 
 def _matched_event(match: re.Match | None) -> Event | None:
@@ -410,6 +422,7 @@ class LifecycleModel:
             raise ValueError(f"initial state {self.initial!r} not in states")
         table: dict[tuple[str, str], str] = {}
         for source, callback, target in self.transitions:
+            _check_ident(callback, "callback")  # run_scenario emits it unchecked
             if source not in self.states or target not in self.states:
                 raise ValueError(
                     f"transition ({source}, {callback}, {target}) leaves declared states"

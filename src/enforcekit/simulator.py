@@ -6,6 +6,10 @@ which services a bundle registered, which timers are live) and reports a
 leak whenever a component reaches a suspended or terminal state while still
 holding something. Wiring in a module registry routes every generated event
 through enforcement first, so inserted events really do release resources.
+
+Steps are checked where they enter: by :func:`parse_scenario` for text, and
+by :class:`Scenario` and ``LifecycleModel`` for code, so :func:`run_scenario`
+builds their events without checking the fields again.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from .enforcement import (
     UnknownModuleError,
     enforce_event,
 )
-from .events import Event, EventKind, LifecycleModel, Trace, _check_ident
+from .events import (
+    _NO_ATTRS, Event, EventKind, LifecycleModel, Trace, _Attrs, _check_ident, _trusted,
+)
 from .policy import DispatchError
 
 __all__ = [
@@ -146,7 +152,11 @@ class LifecycleStep:
 class ApiCallStep:
     component: str
     name: str
-    attrs: Mapping[str, str] = field(default_factory=dict)
+    attrs: Mapping[str, str] = _NO_ATTRS  # kept as a read-only copy
+
+    def __post_init__(self):
+        if type(self.attrs) is not _Attrs:
+            object.__setattr__(self, "attrs", _Attrs(self.attrs) if self.attrs else _NO_ATTRS)
 
 
 @dataclass(frozen=True)
@@ -168,13 +178,26 @@ class Scenario:
     steps: tuple[Step, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "steps", tuple(self.steps))
         declared = set(self.components)
         if len(declared) != len(self.components):
             raise ValueError("duplicate component declaration")
+        for component in self.components:
+            _check_ident(component, "component")
         for step in self.steps:
             if isinstance(step, (LifecycleStep, ApiCallStep)):
                 if step.component not in declared:
                     raise ValueError(f"undeclared component {step.component!r}")
+            elif not isinstance(step, ToggleStep):
+                raise TypeError(f"not a scenario step: {step!r}")
+        # As in parse_scenario, each distinct string once: scripts repeat a few.
+        calls = [step for step in self.steps if isinstance(step, ApiCallStep)]
+        for name in {step.name for step in calls}:
+            _check_ident(name, "event name")
+        for key, value in {item for step in calls for item in step.attrs.items()}:
+            _check_ident(key, "attribute key")
+            _check_ident(value, f"attribute value for {key!r}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +342,8 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
                 attrs[ident(key, "attribute key", lineno)] = ident(
                     value, "attribute value", lineno
                 )
-            steps.append(ApiCallStep(parts[1], ident(parts[2], "event name", lineno), attrs))
+            api = ident(parts[2], "event name", lineno)
+            steps.append(ApiCallStep(parts[1], api, _Attrs(attrs) if attrs else _NO_ATTRS))
         elif directive == "toggle":
             need(parts, 3, "toggle <module> on|off", lineno)
             if parts[2] not in ("on", "off"):
@@ -331,10 +355,12 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             raise ScenarioParseError(f"unknown directive {directive!r}", lineno)
     if lifecycle is None:
         raise ScenarioParseError("missing 'lifecycle <model>' declaration", 1)
-    try:
-        return Scenario(name, lifecycle, tuple(components), tuple(steps))
-    except ValueError as err:
-        raise ScenarioParseError(str(err), 1) from err
+    # Every part was checked above, with its line, so Scenario's checks are skipped.
+    scenario = object.__new__(Scenario)
+    scenario.__dict__.update(
+        name=name, lifecycle=lifecycle, components=tuple(components), steps=tuple(steps)
+    )
+    return scenario
 
 
 class _ResourceState:
@@ -441,7 +467,8 @@ def run_scenario(
                     step_no,
                 )
             process(
-                Event(EventKind.CALLBACK, step.callback, step.component, seq), step_no
+                _trusted(EventKind.CALLBACK, step.callback, step.component, seq, False, _NO_ATTRS),
+                step_no,
             )
             lifecycle_state[step.component] = target
             if target in inactive:
@@ -451,7 +478,7 @@ def run_scenario(
                     )
         else:
             process(
-                Event(EventKind.API_CALL, step.name, step.component, seq, attrs=step.attrs),
+                _trusted(EventKind.API_CALL, step.name, step.component, seq, False, step.attrs),
                 step_no,
             )
     return Trace.renumbered(emitted), report

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +159,12 @@ def test_event_validates_identifiers():
         pytest.param(lambda: Event.api("a", "C1", True), TypeError, id="bool-seq"),
         pytest.param(lambda: Event.api("a", "C1", "1"), TypeError, id="str-seq"),
         pytest.param(lambda: Event.api("a", "C1", -1), ValueError, id="negative-seq"),
+        pytest.param(lambda: Event.api("a", "C1", 10**5000), ValueError, id="unprintable-seq"),
+        pytest.param(
+            lambda: parse_trace(serialize_trace(Trace((Event.api("a", "C1", 10**2000),))))[0].seq,
+            10**2000,
+            id="long-printable-seq",
+        ),
     ],
 )
 def test_constructors_enforce_kind_and_seq_types(build, expected):
@@ -168,6 +175,14 @@ def test_constructors_enforce_kind_and_seq_types(build, expected):
             build()
     else:
         assert build() == expected
+
+
+def test_unprintable_seq_names_the_limit():
+    # serialize_trace could not write such a seq, and parse_trace refuses it.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"seq has more than {limit} digits"):
+        Event.api("a", "C1", 10**limit)
+    assert Event.api("a", "C1", 10**limit - 1).seq == 10**limit - 1
 
 
 def test_event_keeps_a_read_only_copy_of_attrs():
@@ -202,6 +217,18 @@ def test_renumbered_assigns_one_based_seq():
     assert [e.seq for e in trace] == [1, 2]
 
 
+def test_renumbered_keeps_events_already_in_place():
+    events = [
+        Event.api("a", "C1", 1),
+        Event.cb("b", "C2", 5),
+        Event(EventKind.API_CALL, "c", "C3", 3, True, {"k": "v"}),
+    ]
+    trace = Trace.renumbered(events)
+    assert trace[0] is events[0]
+    assert trace[1] == dataclasses.replace(events[1], seq=2)
+    assert trace[2] is events[2]
+
+
 # --- round-trip property -----------------------------------------------
 
 _ident = st.text("abcdefgXYZ0123_.-", min_size=1, max_size=8)
@@ -213,6 +240,27 @@ _event = st.builds(
     _ident,
     _attrs,
 )
+
+
+@given(
+    st.lists(
+        st.builds(
+            dataclasses.replace, _event, seq=st.integers(0, 6), synthetic=st.booleans()
+        ),
+        max_size=8,
+    )
+)
+def test_renumbered_copies_only_the_events_that_move(events):
+    trace = Trace.renumbered(events)
+    assert len(trace) == len(events)
+    for position, (event, out) in enumerate(zip(events, trace), 1):
+        if event.seq == position:
+            assert out is event
+        else:
+            assert out is not event
+            assert out == dataclasses.replace(event, seq=position)
+            assert hash(out) == hash(dataclasses.replace(event, seq=position))
+            assert type(out.attrs) is _Attrs and out.attrs is event.attrs
 
 
 @given(st.lists(_event, max_size=12))

@@ -1,14 +1,19 @@
 """Scenario parsing and the lifecycle/resource simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enforcekit import (
+    BUILTIN_RESOURCES,
     ApiCallStep,
     DeniedAcquire,
+    DispatchError,
+    EnforcementError,
     Event,
     EventKind,
     EventPattern,
     LeakRecord,
+    LeakReport,
     LifecycleModel,
     LifecycleStep,
     ModuleRegistry,
@@ -21,15 +26,19 @@ from enforcekit import (
     Trace,
     Transition,
     UnknownLifecycleError,
+    UnknownModuleError,
     builtin_lifecycle,
+    enforce_event,
     inactive_states,
     parse_policy,
     parse_scenario,
     run_scenario,
     validate_lifecycle,
 )
+from enforcekit.events import _Attrs
+from enforcekit.simulator import _ResourceState
 
-from conftest import CATALOG, SCENARIOS
+from conftest import CATALOG, CATALOG_POLICIES, SCENARIOS
 
 CB = EventKind.CALLBACK
 
@@ -259,6 +268,13 @@ class TestRunScenario:
             "step 1: onResume not enabled in state initial for component A1"
         )
 
+    def test_non_identifier_callback_is_refused_as_not_enabled(self):
+        # Refused before any event is built from it, like any illegal callback.
+        scenario = parse_scenario("lifecycle activity\ncomponent A1\nlc A1 on/Create\n")
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(scenario)
+        assert str(exc.value) == "step 1: on/Create not enabled in state initial for component A1"
+
     def test_toggle_is_ignored_without_a_registry(self):
         scenario = parse_scenario(
             "lifecycle activity\ncomponent A1\n"
@@ -384,3 +400,259 @@ def test_emitted_traces_respect_the_lifecycle_model(scenario_file, policy_file, 
 def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, policy_file):
     _, report = run_scenario(_scenario(scenario_file), _registry_for(policy_file))
     assert report.leaks == []
+
+
+# --- steps are checked where they enter --------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        pytest.param(
+            lambda: Scenario(
+                "s", builtin_lifecycle("activity"), ("A1",), (ApiCallStep("A1", "bad name"),)
+            ),
+            "event name 'bad name' must be",
+            id="api-name",
+        ),
+        pytest.param(
+            lambda: Scenario(
+                "s", builtin_lifecycle("activity"), ("A1",), (ApiCallStep("A1", "f", {"k": "v!"}),)
+            ),
+            "attribute value for 'k' 'v!' must be",
+            id="attribute-value",
+        ),
+        pytest.param(
+            lambda: Scenario("s", builtin_lifecycle("activity"), ("A 1",)),
+            "component 'A 1' must be",
+            id="component",
+        ),
+        pytest.param(
+            lambda: LifecycleModel("job", {"idle", "busy"}, "idle", {("idle", "on go", "busy")}),
+            "callback 'on go' must be",
+            id="lifecycle-callback",
+        ),
+    ],
+)
+def test_code_built_scenarios_refuse_bad_identifiers_at_construction(build, fragment):
+    # run_scenario trusts what construction accepted, so nothing may fail
+    # mid-run with a bare ValueError.
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+def test_scenario_keeps_tuples_and_refuses_foreign_steps():
+    steps = [LifecycleStep("A1", "onCreate")]
+    scenario = Scenario("s", builtin_lifecycle("activity"), ["A1"], steps)
+    steps.append(ApiCallStep("A1", "bad name"))
+    assert scenario.components == ("A1",)
+    assert scenario.steps == (LifecycleStep("A1", "onCreate"),)
+    with pytest.raises(TypeError, match="not a scenario step"):
+        Scenario("s", builtin_lifecycle("activity"), ("A1",), (("A1", "onCreate"),))
+
+
+def test_api_call_steps_keep_read_only_attrs():
+    attrs = {"timer": "T1"}
+    step = ApiCallStep("C1", "setTimer", attrs)
+    attrs["timer"] = "T2"
+    assert step.attrs == {"timer": "T1"}
+    with pytest.raises(TypeError):
+        step.attrs["timer"] = "T3"
+    assert type(ApiCallStep("C1", "f").attrs) is _Attrs
+    assert ApiCallStep("C1", "f").attrs is ApiCallStep("C1", "g", {}).attrs
+
+
+# --- the trusted run against the validated one -------------------------
+
+
+def reference_run_scenario(scenario, registry=None, resources=BUILTIN_RESOURCES):
+    """The per-step loop of run_scenario, with every step event built, and
+    every emitted event renumbered, through the validating ``Event``
+    constructor instead of trusted copies.
+    """
+    model = scenario.lifecycle
+    inactive = inactive_states(model)
+    lifecycle_state = {c: model.initial for c in scenario.components}
+    state = _ResourceState(resources)
+    report = LeakReport()
+    emitted = []
+    seq = 0
+
+    def process(event, step_no):
+        if registry is None:
+            outputs = [event]
+        else:
+            try:
+                outputs = enforce_event(registry, event)
+            except (EnforcementError, DispatchError) as err:
+                raise ScenarioError(str(err), step_no) from err
+        for out in outputs:
+            state.apply(out, step_no, seq, report.denied)
+        emitted.extend(outputs)
+
+    for step_no, step in enumerate(scenario.steps, 1):
+        if isinstance(step, ToggleStep):
+            if registry is None:
+                continue
+            try:
+                registry.set_active(step.module, step.active)
+            except UnknownModuleError as err:
+                raise ScenarioError(str(err), step_no) from err
+            continue
+        seq += 1
+        if isinstance(step, LifecycleStep):
+            current = lifecycle_state[step.component]
+            target = model.target(current, step.callback)
+            if target is None:
+                raise ScenarioError(
+                    f"{step.callback} not enabled in state {current} "
+                    f"for component {step.component}",
+                    step_no,
+                )
+            process(Event(EventKind.CALLBACK, step.callback, step.component, seq), step_no)
+            lifecycle_state[step.component] = target
+            if target in inactive:
+                for resource, key in state.held_by(step.component):
+                    report.leaks.append(LeakRecord(step.component, target, resource, key, seq))
+        else:
+            process(
+                Event(EventKind.API_CALL, step.name, step.component, seq, attrs=dict(step.attrs)),
+                step_no,
+            )
+    validated = (
+        Event(e.kind, e.name, e.component, i, e.synthetic, dict(e.attrs))
+        for i, e in enumerate(emitted, 1)
+    )
+    return Trace(tuple(validated)), report
+
+
+_CATALOG_SPECS = [parse_policy((CATALOG / name).read_text()) for name in CATALOG_POLICIES]
+
+
+def _outcome(run, scenario, enforced):
+    """What a run gives: its trace and report, or its error's text and step."""
+    registry = ModuleRegistry.from_policies(_CATALOG_SPECS) if enforced else None
+    try:
+        return run(scenario, registry)
+    except ScenarioError as err:
+        return str(err), err.step
+
+
+def _assert_like_validated_events(trace):
+    for event in trace:
+        validated = Event(
+            event.kind, event.name, event.component, event.seq, event.synthetic, dict(event.attrs)
+        )
+        assert event == validated and hash(event) == hash(validated)
+        assert type(event.attrs) is _Attrs
+        with pytest.raises(TypeError):
+            event.attrs["k"] = "v"
+
+
+@pytest.mark.parametrize("scenario_file", [pair[0] for pair in _PAIRINGS])
+@pytest.mark.parametrize("enforced", [False, True], ids=["baseline", "all-catalog"])
+def test_trusted_run_matches_the_validated_reference_on_shipped_scenarios(
+    scenario_file, enforced
+):
+    scenario = _scenario(scenario_file)
+    outcome = _outcome(run_scenario, scenario, enforced)
+    assert outcome == _outcome(reference_run_scenario, scenario, enforced)
+    trace, _report = outcome
+    _assert_like_validated_events(trace)
+
+
+_COMPONENTS = ("A1", "B2", "C3")
+_API_CALLS = (
+    ("Camera.open", {}),
+    ("Camera.release", {}),
+    ("registerService", {"service": "S1"}),
+    ("registerService", {"service": "S2"}),
+    ("unregisterService", {"service": "S1"}),
+    ("setTimer", {"timer": "T1"}),
+    ("clearTimer", {"timer": "T1"}),
+    ("log", {"level": "info", "tag": "x"}),
+)
+_MODULES = ("CameraRelease", "OsgiUnregister", "ReactCleanup")
+
+
+@st.composite
+def scenarios(draw):
+    """Steps on a built-in lifecycle: mostly enabled callbacks, API calls
+    and toggles, and now and then a step that fails: a callback that is not
+    enabled (or not even an identifier), a keyed acquire without its key,
+    or a toggle of an unknown module."""
+    model = builtin_lifecycle(
+        draw(st.sampled_from(["activity", "osgi-bundle", "react-component"]))
+    )
+    components = draw(st.lists(st.sampled_from(_COMPONENTS), min_size=1, unique=True))
+    callbacks = sorted({cb for _source, cb, _target in model.transitions})
+    state = dict.fromkeys(components, model.initial)
+    steps = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["lc"] * 8 + ["call"] * 8 + ["toggle"] * 2 + ["odd"]))
+        component = draw(st.sampled_from(components))
+        enabled = sorted(cb for s, cb, _t in model.transitions if s == state[component])
+        if kind == "call":
+            steps.append(ApiCallStep(component, *draw(st.sampled_from(_API_CALLS))))
+        elif kind == "toggle":
+            steps.append(ToggleStep(draw(st.sampled_from(_MODULES)), draw(st.booleans())))
+        elif kind == "lc" and enabled:
+            callback = draw(st.sampled_from(enabled))
+            state[component] = model.target(state[component], callback)
+            steps.append(LifecycleStep(component, callback))
+        else:
+            steps.append(
+                draw(
+                    st.sampled_from(
+                        [LifecycleStep(component, cb) for cb in callbacks + ["on/Create"]]
+                        + [ApiCallStep(component, "setTimer"), ToggleStep("Ghost", False)]
+                    )
+                )
+            )
+            if isinstance(steps[-1], LifecycleStep):
+                callback = steps[-1].callback
+                state[component] = model.target(state[component], callback) or state[component]
+    return Scenario("generated", model, tuple(components), tuple(steps))
+
+
+def _scenario_text(scenario):
+    lines = [f"scenario {scenario.name}", f"lifecycle {scenario.lifecycle.name}"]
+    lines += [f"component {c}" for c in scenario.components]
+    for step in scenario.steps:
+        if isinstance(step, LifecycleStep):
+            lines.append(f"lc {step.component} {step.callback}")
+        elif isinstance(step, ApiCallStep):
+            attrs = "".join(f" {k}={v}" for k, v in step.attrs.items())
+            lines.append(f"call {step.component} {step.name}{attrs}")
+        else:
+            lines.append(f"toggle {step.module} {'on' if step.active else 'off'}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios(), st.booleans())
+def test_trusted_run_matches_the_validated_reference(scenario, enforced):
+    outcome = _outcome(run_scenario, scenario, enforced)
+    assert outcome == _outcome(reference_run_scenario, scenario, enforced)
+    if isinstance(outcome[0], Trace):
+        _assert_like_validated_events(outcome[0])
+    # parse_scenario skips Scenario's checks; what it builds must not differ.
+    assert parse_scenario(_scenario_text(scenario)) == scenario
+
+
+def test_run_scenario_builds_no_validated_event(monkeypatch):
+    scenario = _scenario("osgi-stop-leak.scn")
+    registry = _registry_for("osgi_unregister.policy")
+    calls = []
+    original = Event.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(Event, "__post_init__", counting)
+    _, baseline = run_scenario(scenario)
+    trace, enforced = run_scenario(scenario, registry)
+    assert len(baseline.leaks) == 2 and enforced.leaks == []
+    assert sum(e.synthetic for e in trace) == 2
+    assert calls == []
