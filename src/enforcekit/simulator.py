@@ -185,17 +185,21 @@ class Scenario:
             raise ValueError("duplicate component declaration")
         for component in self.components:
             _check_ident(component, "component")
+        calls = []
         for step in self.steps:
-            if isinstance(step, (LifecycleStep, ApiCallStep)):
-                if step.component not in declared:
-                    raise ValueError(f"undeclared component {step.component!r}")
-            elif not isinstance(step, ToggleStep):
+            if isinstance(step, ApiCallStep):
+                calls.append(step)
+            elif isinstance(step, ToggleStep):
+                continue
+            elif not isinstance(step, LifecycleStep):
                 raise TypeError(f"not a scenario step: {step!r}")
-        # As in parse_scenario, each distinct string once: scripts repeat a few.
-        calls = [step for step in self.steps if isinstance(step, ApiCallStep)]
-        for name in {step.name for step in calls}:
+            if step.component not in declared:
+                raise ValueError(f"undeclared component {step.component!r}")
+        # As in parse_scenario, each distinct string once (scripts repeat a
+        # few), in step order so the first bad one is the one reported.
+        for name in dict.fromkeys([step.name for step in calls]):
             _check_ident(name, "event name")
-        for key, value in {item for step in calls for item in step.attrs.items()}:
+        for key, value in dict.fromkeys([item for step in calls for item in step.attrs.items()]):
             _check_ident(key, "attribute key")
             _check_ident(value, f"attribute value for {key!r}")
 
@@ -342,8 +346,7 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
                 attrs[ident(key, "attribute key", lineno)] = ident(
                     value, "attribute value", lineno
                 )
-            api = ident(parts[2], "event name", lineno)
-            steps.append(ApiCallStep(parts[1], api, _Attrs(attrs) if attrs else _NO_ATTRS))
+            steps.append(ApiCallStep(parts[1], ident(parts[2], "event name", lineno), attrs))
         elif directive == "toggle":
             need(parts, 3, "toggle <module> on|off", lineno)
             if parts[2] not in ("on", "off"):
@@ -355,12 +358,7 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             raise ScenarioParseError(f"unknown directive {directive!r}", lineno)
     if lifecycle is None:
         raise ScenarioParseError("missing 'lifecycle <model>' declaration", 1)
-    # Every part was checked above, with its line, so Scenario's checks are skipped.
-    scenario = object.__new__(Scenario)
-    scenario.__dict__.update(
-        name=name, lifecycle=lifecycle, components=tuple(components), steps=tuple(steps)
-    )
-    return scenario
+    return Scenario(name, lifecycle, tuple(components), tuple(steps))
 
 
 class _ResourceState:

@@ -422,6 +422,24 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
             "attribute value for 'k' 'v!' must be",
             id="attribute-value",
         ),
+        # With thirty bad strings a hash-ordered check would seldom report
+        # the first, so these fail unless the first in step order is reported.
+        pytest.param(
+            lambda: Scenario(
+                "s", builtin_lifecycle("activity"), ("A1",),
+                [ApiCallStep("A1", f"bad {i}") for i in range(30)],
+            ),
+            "event name 'bad 0'",
+            id="first-bad-name",
+        ),
+        pytest.param(
+            lambda: Scenario(
+                "s", builtin_lifecycle("activity"), ("A1",),
+                [ApiCallStep("A1", "f", {"k": f"bad {i}"}) for i in range(30)],
+            ),
+            "for 'k' 'bad 0'",
+            id="first-bad-attribute-value",
+        ),
         pytest.param(
             lambda: Scenario("s", builtin_lifecycle("activity"), ("A 1",)),
             "component 'A 1' must be",
