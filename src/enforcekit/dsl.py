@@ -40,7 +40,6 @@ from .policy import (
     MonitorAutomaton,
     OutputTemplate,
     PolicySpec,
-    SynthEvent,
     Transition,
 )
 
@@ -212,7 +211,7 @@ def _parse_pattern(parser: _Parser) -> EventPattern:
 
 def _parse_template(parser: _Parser) -> OutputTemplate:
     parser.expect("[")
-    items: list[Union[InputRef, SynthEvent]] = []
+    items: list[Union[InputRef, EventPattern]] = []
     if parser.peek().type != "]":
         while True:
             token = parser.peek()
@@ -225,8 +224,7 @@ def _parse_template(parser: _Parser) -> OutputTemplate:
                     )
                 items.append(INPUT)
             else:
-                pattern = _parse_pattern(parser)
-                items.append(SynthEvent(pattern.kind, pattern.name, pattern.constraints))
+                items.append(_parse_pattern(parser))
             if parser.peek().type == ",":
                 parser.next()
                 continue

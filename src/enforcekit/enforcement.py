@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .events import Event, EventKind, Trace, _Attrs, _trusted
 from .policy import (
@@ -102,8 +103,9 @@ def _instantiate_template(
 ) -> list[Event]:
     """The template's events for ``event``, built without validating again.
 
-    :class:`SynthEvent` checked each item's name, keys and literals, and
-    every binder value comes from the attributes of a validated event.
+    Each item is an :class:`EventPattern`, whose constructor checked its
+    name, keys and literals, and every binder value comes from the
+    attributes of a validated event.
     """
     out: list[Event] = []
     for item in items:
@@ -111,7 +113,7 @@ def _instantiate_template(
             out.append(event)
             continue
         attrs: dict[str, str] = {}
-        for key, constraint in item.attrs:
+        for key, constraint in item.constraints:
             if isinstance(constraint, Binder):
                 value = bindings.get(constraint.var)
                 if value is None:
@@ -134,26 +136,28 @@ class ProactiveModule:
 
     Under per-binder instancing the module also keeps each component's
     live instance keys in ascending order, so a broadcast reads its
-    component's keys instead of scanning every live one. The index is
-    built from the ``instances`` the module starts with; after that,
-    change instances only through the module's methods (``reset``, or
-    stepping events), which keep the index in step.
+    component's keys instead of scanning every live one. Only the
+    module's own methods (``reset``, or stepping events) change its
+    instances, which keeps that index in step; ``instances`` is a
+    read-only view.
     """
 
     policy: PolicySpec
     priority: int = 0
     active: bool = True
-    instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict)
+    _instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict, init=False)
     _keys_by_component: dict[str, list[InstanceKey]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self):
-        self._reindex()
-
     @property
     def name(self) -> str:
         return self.policy.name
+
+    @property
+    def instances(self) -> Mapping[InstanceKey, AutomatonInstance]:
+        """The live instances by key, read-only."""
+        return MappingProxyType(self._instances)
 
     def alphabet_match(self, event: Event) -> EventPattern | None:
         """First alphabet pattern matching the event, or None."""
@@ -161,7 +165,7 @@ class ProactiveModule:
 
     def reset(self) -> None:
         """Forget every instance; fresh ones start at the initial state."""
-        self.instances.clear()
+        self._instances.clear()
         self._keys_by_component.clear()
 
     def _select_instances(
@@ -178,10 +182,10 @@ class ProactiveModule:
         keys, bindings = self.policy.core.route(event, pattern, live)
         selected = []
         for key in keys:
-            instance = self.instances.get(key)
+            instance = self._instances.get(key)
             if instance is None:
                 instance = AutomatonInstance(self.policy, key, self.policy.core.initial)
-                self.instances[key] = instance
+                self._instances[key] = instance
                 if self.policy.instancing is Instancing.PER_BINDER:
                     insort(self._keys_by_component.setdefault(key[0], []), key)
             if bindings:
@@ -195,24 +199,20 @@ class ProactiveModule:
         The bindings are the instances' own dicts: the caller must not
         step these instances again before it restores the snapshot.
         """
-        return tuple((k, i.current, i.bindings) for k, i in self.instances.items())
+        return tuple((k, i.current, i.bindings) for k, i in self._instances.items())
 
     def _restore(
         self, saved: tuple[tuple[InstanceKey, str, dict[str, str]], ...]
     ) -> None:
-        """Replace every instance with fresh copies of the saved ones."""
-        instances, policy = self.instances, self.policy
+        """Replace every instance with fresh copies of the saved ones, and
+        rebuild the per-component key index from them."""
+        instances, policy, index = self._instances, self.policy, self._keys_by_component
         instances.clear()
         for key, state, bindings in saved:
             instances[key] = AutomatonInstance(policy, key, state, dict(bindings))
-        self._reindex()
-
-    def _reindex(self) -> None:
-        """Rebuild the per-component key index from ``instances``."""
-        index = self._keys_by_component
         index.clear()
-        if self.policy.instancing is Instancing.PER_BINDER:
-            for key in sorted(self.instances):
+        if policy.instancing is Instancing.PER_BINDER:
+            for key in sorted(instances):
                 index.setdefault(key[0], []).append(key)
 
 

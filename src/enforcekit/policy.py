@@ -82,31 +82,14 @@ class Binder:
 Constraint = Union[Literal, Binder]
 
 
-def _pattern_text(
-    kind: EventKind, name: str, constraints: tuple[tuple[str, Constraint], ...]
-) -> str:
-    """Concrete syntax of a pattern or synthesized event, e.g.
-    ``api registerService{service=$s}``."""
-    body = f"{kind.value} {name}"
-    if constraints:
-        inner = ", ".join(
-            f"{k}=${c.var}" if isinstance(c, Binder) else f"{k}={c.value}"
-            for k, c in constraints
-        )
-        body += "{" + inner + "}"
-    return body
-
-
-def _normalize_constraints(
-    constraints, what: str
-) -> tuple[tuple[str, Constraint], ...]:
+def _normalize_constraints(constraints) -> tuple[tuple[str, Constraint], ...]:
     items = tuple(sorted(constraints, key=lambda kv: kv[0]))
     seen: set[str] = set()
     binders = 0
     for key, constraint in items:
-        _check_ident(key, f"{what} attribute key")
+        _check_ident(key, "pattern attribute key")
         if key in seen:
-            raise ValueError(f"duplicate attribute key {key!r} in {what}")
+            raise ValueError(f"duplicate attribute key {key!r} in pattern")
         seen.add(key)
         if isinstance(constraint, Binder):
             _check_ident(constraint.var, "binder name")
@@ -116,7 +99,7 @@ def _normalize_constraints(
         else:
             raise TypeError(f"bad constraint for {key!r}: {constraint!r}")
     if binders > 1:
-        raise ValueError(f"at most one binder is allowed per {what}")
+        raise ValueError("at most one binder is allowed per pattern")
     return items
 
 
@@ -127,6 +110,10 @@ class EventPattern:
     A literal constraint requires the attribute to be present with that
     value. A binder constraint does not restrict matching; it names the
     attribute whose value keys per-binder instances and feeds templates.
+
+    In an output template a pattern is the event a transition inserts: it
+    takes the component of the triggering input, and its attribute values
+    come from its literals and from binder variables in scope.
     """
 
     kind: EventKind
@@ -136,9 +123,7 @@ class EventPattern:
     def __post_init__(self):
         _set_kind(self)
         _check_ident(self.name, "pattern name")
-        object.__setattr__(
-            self, "constraints", _normalize_constraints(self.constraints, "pattern")
-        )
+        object.__setattr__(self, "constraints", _normalize_constraints(self.constraints))
 
     def binder(self) -> tuple[str, str] | None:
         """The (attribute key, binder var) pair, if this pattern has one."""
@@ -157,7 +142,15 @@ class EventPattern:
         return True
 
     def text(self) -> str:
-        return _pattern_text(self.kind, self.name, self.constraints)
+        """Concrete syntax, e.g. ``api registerService{service=$s}``."""
+        body = f"{self.kind.value} {self.name}"
+        if self.constraints:
+            inner = ", ".join(
+                f"{k}=${c.var}" if isinstance(c, Binder) else f"{k}={c.value}"
+                for k, c in self.constraints
+            )
+            body += "{" + inner + "}"
+        return body
 
 
 @dataclass(frozen=True)
@@ -168,30 +161,10 @@ class InputRef:
 INPUT = InputRef()
 
 
-@dataclass(frozen=True)
-class SynthEvent:
-    """Template for an event inserted by a transition.
-
-    The synthesized event inherits the component of the triggering input;
-    attribute values come from literals or from binder variables in scope.
-    """
-
-    kind: EventKind
-    name: str
-    attrs: tuple[tuple[str, Constraint], ...] = ()
-
-    def __post_init__(self):
-        _set_kind(self)
-        _check_ident(self.name, "synthesized event name")
-        object.__setattr__(
-            self, "attrs", _normalize_constraints(self.attrs, "synthesized event")
-        )
-
-    def text(self) -> str:
-        return _pattern_text(self.kind, self.name, self.attrs)
-
-
-TemplateItem = Union[InputRef, SynthEvent]
+# A template item other than ``$in`` is the pattern of the event it inserts;
+# ``SynthEvent`` names that role for code that builds templates.
+SynthEvent = EventPattern
+TemplateItem = Union[InputRef, EventPattern]
 
 
 @dataclass(frozen=True)
@@ -528,7 +501,7 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
     for t in spec.transitions:
         assert t.output is not None
         for item in t.output.items:
-            if isinstance(item, SynthEvent) and (item.kind, item.name) not in alphabet_names:
+            if isinstance(item, EventPattern) and (item.kind, item.name) not in alphabet_names:
                 diagnostics.append(
                     Diagnostic(
                         Severity.WARNING,

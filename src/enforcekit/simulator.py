@@ -7,9 +7,12 @@ leak whenever a component reaches a suspended or terminal state while still
 holding something. Wiring in a module registry routes every generated event
 through enforcement first, so inserted events really do release resources.
 
-Steps are checked where they enter: by :func:`parse_scenario` for text, and
-by :class:`Scenario` and ``LifecycleModel`` for code, so :func:`run_scenario`
-builds their events without checking the fields again.
+Each value is checked once, by the constructor of the type it becomes: an
+``ApiCallStep`` checks its name and attributes, a :class:`Scenario` its
+components and steps, and a ``LifecycleModel`` its callbacks.
+:func:`parse_scenario` builds through these constructors and adds only the
+line number, and :func:`run_scenario` builds step events without checking
+the fields again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .enforcement import (
     enforce_event,
 )
 from .events import (
-    _NO_ATTRS, Event, EventKind, LifecycleModel, Trace, _Attrs, _check_ident, _trusted,
+    _IDENT_RE, _NO_ATTRS, Event, EventKind, LifecycleModel, Trace, _Attrs, _check_ident,
+    _trusted,
 )
 from .policy import DispatchError
 
@@ -155,14 +159,22 @@ class ApiCallStep:
     attrs: Mapping[str, str] = _NO_ATTRS  # kept as a read-only copy
 
     def __post_init__(self):
+        _check_ident(self.name, "event name")
         if type(self.attrs) is not _Attrs:
             object.__setattr__(self, "attrs", _Attrs(self.attrs) if self.attrs else _NO_ATTRS)
+        for key, value in self.attrs.items():
+            _check_ident(key, "attribute key")
+            _check_ident(value, f"attribute value for {key!r}")
 
 
 @dataclass(frozen=True)
 class ToggleStep:
     module: str
     active: bool
+
+    def __post_init__(self):
+        if not isinstance(self.active, bool):
+            raise TypeError(f"toggle 'active' must be a bool, got {self.active!r}")
 
 
 Step = Union[LifecycleStep, ApiCallStep, ToggleStep]
@@ -185,23 +197,13 @@ class Scenario:
             raise ValueError("duplicate component declaration")
         for component in self.components:
             _check_ident(component, "component")
-        calls = []
         for step in self.steps:
-            if isinstance(step, ApiCallStep):
-                calls.append(step)
-            elif isinstance(step, ToggleStep):
+            if isinstance(step, ToggleStep):
                 continue
-            elif not isinstance(step, LifecycleStep):
+            if not isinstance(step, (ApiCallStep, LifecycleStep)):
                 raise TypeError(f"not a scenario step: {step!r}")
             if step.component not in declared:
                 raise ValueError(f"undeclared component {step.component!r}")
-        # As in parse_scenario, each distinct string once (scripts repeat a
-        # few), in step order so the first bad one is the one reported.
-        for name in dict.fromkeys([step.name for step in calls]):
-            _check_ident(name, "event name")
-        for key, value in dict.fromkeys([item for step in calls for item in step.attrs.items()]):
-            _check_ident(key, "attribute key")
-            _check_ident(value, f"attribute value for {key!r}")
 
 
 @dataclass(frozen=True)
@@ -278,29 +280,25 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
     Directives: ``scenario <name>``, ``lifecycle <model>``,
     ``component <id>``, ``lc <component> <callback>``,
     ``call <component> <api-name> [k=v ...]`` and ``toggle <module> on|off``.
-    Component ids, API names and attribute keys and values must be event
-    identifiers, and components must be declared before use; blank lines
-    and ``#`` comments are skipped.
+    ``scenario`` and ``lifecycle`` may each appear once, and components
+    must be declared before use; blank lines and ``#`` comments are
+    skipped. The step and scenario constructors check every value, and an
+    error from them or from the format is raised with its line number.
     """
     name = default_name
     lifecycle: LifecycleModel | None = None
-    components: list[str] = []
+    components: dict[str, int] = {}  # component -> the line declaring it
     steps: list[Step] = []
+    once: set[str] = set()
 
-    def need(parts: list[str], count: int, usage: str, lineno: int) -> None:
+    def need(parts: list[str], count: int, usage: str) -> None:
         if len(parts) != count:
-            raise ScenarioParseError(f"expected '{usage}'", lineno)
+            raise ValueError(f"expected '{usage}'")
 
-    checked: set[str] = set()  # scripts repeat a few names many times
-
-    def ident(value: str, what: str, lineno: int) -> str:
-        if value not in checked:
-            try:
-                _check_ident(value, what)
-            except ValueError as err:
-                raise ScenarioParseError(str(err), lineno) from None
-            checked.add(value)
-        return value
+    def declared(component: str) -> str:
+        if component not in components:
+            raise ValueError(f"undeclared component {component!r}")
+        return component
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -308,57 +306,56 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             continue
         parts = line.split()
         directive = parts[0]
-        if directive == "scenario":
-            need(parts, 2, "scenario <name>", lineno)
-            name = parts[1]
-        elif directive == "lifecycle":
-            need(parts, 2, "lifecycle <model>", lineno)
-            try:
+        try:
+            if directive in ("scenario", "lifecycle"):
+                if directive in once:
+                    raise ValueError(f"duplicate {directive!r} directive")
+                once.add(directive)
+            if directive == "scenario":
+                need(parts, 2, "scenario <name>")
+                name = parts[1]
+            elif directive == "lifecycle":
+                need(parts, 2, "lifecycle <model>")
                 lifecycle = builtin_lifecycle(parts[1])
-            except UnknownLifecycleError as err:
-                raise ScenarioParseError(str(err), lineno) from err
-        elif directive == "component":
-            need(parts, 2, "component <id>", lineno)
-            if parts[1] in components:
-                raise ScenarioParseError(f"duplicate component {parts[1]!r}", lineno)
-            components.append(ident(parts[1], "component", lineno))
-        elif directive == "lc":
-            need(parts, 3, "lc <component> <callback>", lineno)
-            if parts[1] not in components:
-                raise ScenarioParseError(f"undeclared component {parts[1]!r}", lineno)
-            steps.append(LifecycleStep(parts[1], parts[2]))
-        elif directive == "call":
-            if len(parts) < 3:
-                raise ScenarioParseError(
-                    "expected 'call <component> <api-name> [k=v ...]'", lineno
-                )
-            if parts[1] not in components:
-                raise ScenarioParseError(f"undeclared component {parts[1]!r}", lineno)
-            attrs: dict[str, str] = {}
-            for token in parts[3:]:
-                key, eq, value = token.partition("=")
-                if not eq or not key:
-                    raise ScenarioParseError(
-                        f"expected attribute 'key=value', got {token!r}", lineno
-                    )
-                if key in attrs:
-                    raise ScenarioParseError(f"duplicate attribute {key!r}", lineno)
-                attrs[ident(key, "attribute key", lineno)] = ident(
-                    value, "attribute value", lineno
-                )
-            steps.append(ApiCallStep(parts[1], ident(parts[2], "event name", lineno), attrs))
-        elif directive == "toggle":
-            need(parts, 3, "toggle <module> on|off", lineno)
-            if parts[2] not in ("on", "off"):
-                raise ScenarioParseError(
-                    f"expected 'on' or 'off', got {parts[2]!r}", lineno
-                )
-            steps.append(ToggleStep(parts[1], parts[2] == "on"))
-        else:
-            raise ScenarioParseError(f"unknown directive {directive!r}", lineno)
+            elif directive == "component":
+                need(parts, 2, "component <id>")
+                if parts[1] in components:
+                    raise ValueError(f"duplicate component {parts[1]!r}")
+                components[parts[1]] = lineno
+            elif directive == "lc":
+                need(parts, 3, "lc <component> <callback>")
+                steps.append(LifecycleStep(declared(parts[1]), parts[2]))
+            elif directive == "call":
+                if len(parts) < 3:
+                    raise ValueError("expected 'call <component> <api-name> [k=v ...]'")
+                component = declared(parts[1])
+                attrs: dict[str, str] = {}
+                for token in parts[3:]:
+                    key, eq, value = token.partition("=")
+                    if not eq or not key:
+                        raise ValueError(f"expected attribute 'key=value', got {token!r}")
+                    if key in attrs:
+                        raise ValueError(f"duplicate attribute {key!r}")
+                    attrs[key] = value
+                steps.append(ApiCallStep(component, parts[2], attrs))
+            elif directive == "toggle":
+                need(parts, 3, "toggle <module> on|off")
+                if parts[2] not in ("on", "off"):
+                    raise ValueError(f"expected 'on' or 'off', got {parts[2]!r}")
+                steps.append(ToggleStep(parts[1], parts[2] == "on"))
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except (ValueError, UnknownLifecycleError) as err:
+            raise ScenarioParseError(str(err), lineno) from err
     if lifecycle is None:
         raise ScenarioParseError("missing 'lifecycle <model>' declaration", 1)
-    return Scenario(name, lifecycle, tuple(components), tuple(steps))
+    try:
+        return Scenario(name, lifecycle, tuple(components), tuple(steps))
+    except ValueError as err:
+        # Steps were built, and refused, at their own lines, so what is left
+        # to refuse is a component: report the first bad one where declared.
+        lineno = next(n for c, n in components.items() if not _IDENT_RE.fullmatch(c))
+        raise ScenarioParseError(str(err), lineno) from err
 
 
 class _ResourceState:

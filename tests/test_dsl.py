@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from enforcekit import (
     DefaultAction,
     EventKind,
+    EventPattern,
     Instancing,
     MonitorAutomaton,
     PolicyParseError,
     PolicySemanticError,
     PolicySpec,
+    SynthEvent,
     TraceParseError,
     parse_document,
     parse_monitor,
@@ -42,6 +44,18 @@ def test_camera_repair_transition(camera_policy):
     ]
     assert repair.source == "HELD" and repair.target == "FREE"
     assert repair.output.text() == "[api Camera.release, $in]"
+
+
+def test_template_items_are_event_patterns():
+    assert SynthEvent is EventPattern
+    item = "api release{mode=fast, res=$r}"
+    spec = parse_policy(
+        f"policy P alphabet cb a initial S state S: on cb a -> S emit [{item}, $in] end"
+    )
+    (synth, _input) = spec.transitions[0].output.items
+    alphabet = parse_policy(f"policy P alphabet {item} initial S state S: end").alphabet
+    assert synth == alphabet[0]
+    assert type(synth) is EventPattern
 
 
 def test_minimal_policy():

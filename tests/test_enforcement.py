@@ -192,17 +192,27 @@ class TestBroadcast:
             "cb:stop@B1",
         ]
 
-    def test_instances_given_at_construction_receive_broadcasts(self):
-        held = {
-            key: AutomatonInstance(OSGI, key, "REGISTERED", {"s": key[1]})
-            for key in [("B1", "S2"), ("B1", "S1"), ("B2", "S3")]
-        }
-        registry = ModuleRegistry([ProactiveModule(OSGI, instances=held)])
+    def test_instances_registered_out_of_order_receive_broadcasts(self):
+        registry = _registry(OSGI)
+        for bundle, service in [("B1", "S2"), ("B1", "S1"), ("B2", "S3")]:
+            enforce_event(registry, Event.api("registerService", bundle, service=service))
         assert _literals(enforce_event(registry, Event.cb("stop", "B1", seq=1))) == [
             "!api:unregisterService@B1{service=S1}",
             "!api:unregisterService@B1{service=S2}",
             "cb:stop@B1",
         ]
+
+    def test_instances_are_a_read_only_view_kept_by_the_module(self):
+        registry = _registry(OSGI)
+        module = registry.module("OsgiUnregister")
+        enforce_event(registry, Event.api("registerService", "B1", service="S1"))
+        assert len(module.instances) == 1
+        with pytest.raises(TypeError):
+            module.instances[("B1", "S2")] = module.instances[("B1", "S1")]
+        with pytest.raises(AttributeError):
+            module.instances = {}
+        with pytest.raises(TypeError, match="instances"):
+            ProactiveModule(OSGI, instances={})
 
     def test_broadcast_with_no_instances_passes_and_creates_none(self):
         registry = _registry(OSGI)

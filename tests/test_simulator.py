@@ -35,6 +35,7 @@ from enforcekit import (
     run_scenario,
     validate_lifecycle,
 )
+from enforcekit import simulator as simulator_module
 from enforcekit.events import _Attrs
 from enforcekit.simulator import _ResourceState
 
@@ -145,6 +146,12 @@ class TestParseScenario:
                 3,
                 "duplicate attribute 'timer'",
             ),
+            (
+                "lifecycle activity\ncomponent A1\nlc A1 onCreate\nlifecycle react-component\n",
+                4,
+                "duplicate 'lifecycle' directive",
+            ),
+            ("scenario one\nlifecycle activity\nscenario two\n", 3, "duplicate 'scenario' directive"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line, fragment):
@@ -159,9 +166,9 @@ class TestParseScenario:
         [
             ("component A!1", "component 'A!1' must be"),
             ("call A1 Camera!open", "event name 'Camera!open' must be"),
-            ("call A1 Camera.open mode=fast!", "attribute value 'fast!' must be"),
+            ("call A1 Camera.open mode=fast!", "attribute value for 'mode' 'fast!' must be"),
             ("call A1 Camera.open mo$de=fast", "attribute key 'mo$de' must be"),
-            ("call A1 Camera.open mode=", "attribute value '' must be"),
+            ("call A1 Camera.open mode=", "attribute value for 'mode' '' must be"),
         ],
     )
     def test_bad_identifiers_are_parse_errors(self, step, fragment):
@@ -169,6 +176,36 @@ class TestParseScenario:
             parse_scenario(f"lifecycle activity\ncomponent A1\n{step}\n")
         assert exc.value.line == 3
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "name, attrs, step",
+        [
+            pytest.param("Camera!open", {}, "call A1 Camera!open", id="name"),
+            pytest.param("f", {"mo$de": "fast"}, "call A1 f mo$de=fast", id="key"),
+            pytest.param("f", {"mode": "fast!"}, "call A1 f mode=fast!", id="value"),
+        ],
+    )
+    def test_parsed_and_code_built_steps_fail_with_one_message(self, name, attrs, step):
+        with pytest.raises(ValueError) as built:
+            ApiCallStep("A1", name, attrs)
+        with pytest.raises(ScenarioParseError) as parsed:
+            parse_scenario(f"lifecycle activity\ncomponent A1\n{step}\n")
+        assert str(parsed.value) == "line 3: " + str(built.value)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.scn")))
+    def test_each_value_of_a_shipped_scenario_is_checked_once(self, name, monkeypatch):
+        calls = []
+        real = simulator_module._check_ident
+
+        def counted(value, what):
+            calls.append(value)
+            real(value, what)
+
+        monkeypatch.setattr(simulator_module, "_check_ident", counted)
+        scenario = _scenario(name)
+        api_calls = [s for s in scenario.steps if isinstance(s, ApiCallStep)]
+        expected = len(scenario.components) + sum(1 + 2 * len(s.attrs) for s in api_calls)
+        assert api_calls and len(calls) == expected
 
     @pytest.mark.parametrize(
         "name",
@@ -406,13 +443,14 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
 
 
 @pytest.mark.parametrize(
-    "build, fragment",
+    "build, fragment, error",
     [
         pytest.param(
             lambda: Scenario(
                 "s", builtin_lifecycle("activity"), ("A1",), (ApiCallStep("A1", "bad name"),)
             ),
             "event name 'bad name' must be",
+            ValueError,
             id="api-name",
         ),
         pytest.param(
@@ -420,6 +458,7 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
                 "s", builtin_lifecycle("activity"), ("A1",), (ApiCallStep("A1", "f", {"k": "v!"}),)
             ),
             "attribute value for 'k' 'v!' must be",
+            ValueError,
             id="attribute-value",
         ),
         # With thirty bad strings a hash-ordered check would seldom report
@@ -430,6 +469,7 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
                 [ApiCallStep("A1", f"bad {i}") for i in range(30)],
             ),
             "event name 'bad 0'",
+            ValueError,
             id="first-bad-name",
         ),
         pytest.param(
@@ -438,31 +478,46 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
                 [ApiCallStep("A1", "f", {"k": f"bad {i}"}) for i in range(30)],
             ),
             "for 'k' 'bad 0'",
+            ValueError,
             id="first-bad-attribute-value",
         ),
         pytest.param(
             lambda: Scenario("s", builtin_lifecycle("activity"), ("A 1",)),
             "component 'A 1' must be",
+            ValueError,
             id="component",
         ),
         pytest.param(
             lambda: LifecycleModel("job", {"idle", "busy"}, "idle", {("idle", "on go", "busy")}),
             "callback 'on go' must be",
+            ValueError,
             id="lifecycle-callback",
+        ),
+        pytest.param(
+            lambda: ToggleStep("CameraRelease", "off"),
+            "must be a bool, got 'off'",
+            TypeError,
+            id="toggle-active-text",
+        ),
+        pytest.param(
+            lambda: ToggleStep("CameraRelease", 1),
+            "must be a bool, got 1",
+            TypeError,
+            id="toggle-active-int",
         ),
     ],
 )
-def test_code_built_scenarios_refuse_bad_identifiers_at_construction(build, fragment):
-    # run_scenario trusts what construction accepted, so nothing may fail
-    # mid-run with a bare ValueError.
-    with pytest.raises(ValueError, match=fragment):
+def test_code_built_scenarios_refuse_bad_identifiers_at_construction(build, fragment, error):
+    # run_scenario trusts what construction accepted, so a bad value must
+    # fail here, not mid-run with a bare ValueError or by being truthy.
+    with pytest.raises(error, match=fragment):
         build()
 
 
 def test_scenario_keeps_tuples_and_refuses_foreign_steps():
     steps = [LifecycleStep("A1", "onCreate")]
     scenario = Scenario("s", builtin_lifecycle("activity"), ["A1"], steps)
-    steps.append(ApiCallStep("A1", "bad name"))
+    steps.append(LifecycleStep("A1", "onResume"))
     assert scenario.components == ("A1",)
     assert scenario.steps == (LifecycleStep("A1", "onCreate"),)
     with pytest.raises(TypeError, match="not a scenario step"):

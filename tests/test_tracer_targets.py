@@ -57,3 +57,20 @@ def test_tracer_installs_and_restores_cleanly():
     assert vars(mods.events.Trace)["renumbered"] is renumbered
     for name, mod in vars(mods).items():
         assert all(vars(mod)[attr] is value for attr, value in before[name].items())
+
+
+def test_tracer_counts_instances_on_enforce_and_simulate():
+    mods = SimpleNamespace(**{name: _layer(name) for name in LAYERS})
+    camera = mods.dsl.parse_policy((ROOT / "catalog" / "camera_release.policy").read_text())
+    trace = mods.events.parse_trace("1 api:Camera.open@A1\n2 cb:onPause@A1\n")
+    scenario = mods.simulator.parse_scenario((ROOT / "scenarios" / "plumeria-leak.scn").read_text())
+    tracer = tracing.Tracer(mods)
+    with tracer:
+        registry = mods.enforcement.ModuleRegistry.from_policies([camera])
+        mods.enforcement.enforce_trace(registry, trace)
+        registry.reset()
+        mods.simulator.run_scenario(scenario, registry)
+    _spans, counts, live_peak = tracer.take()
+    assert counts["enforcement.instance_steps"] > 0
+    assert counts["enforcement.instances_created"] > 0
+    assert live_peak > 0
