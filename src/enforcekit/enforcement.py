@@ -76,7 +76,7 @@ class AutomatonInstance:
     bindings: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._transition = self.policy.core.transition
+        self._transition = self.policy.transition
 
     def step(self, event: Event) -> list[Event]:
         """Consume one event; advance state and return the emitted events.
@@ -161,7 +161,7 @@ class ProactiveModule:
 
     def alphabet_match(self, event: Event) -> EventPattern | None:
         """First alphabet pattern matching the event, or None."""
-        return self.policy.core.match(event)
+        return self.policy.match(event)
 
     def reset(self) -> None:
         """Forget every instance; fresh ones start at the initial state."""
@@ -173,18 +173,18 @@ class ProactiveModule:
     ) -> list[AutomatonInstance]:
         """Instances addressed by a matching event, created lazily.
 
-        :meth:`AutomatonCore.route` picks the keys. It is handed the live
+        :meth:`PolicySpec.route` picks the keys. It is handed the live
         keys of the event's component only, which are all a broadcast can
         address; a broadcast creates no instance, so with none live it
         simply passes.
         """
         live = self._keys_by_component.get(event.component, ())
-        keys, bindings = self.policy.core.route(event, pattern, live)
+        keys, bindings = self.policy.route(event, pattern, live)
         selected = []
         for key in keys:
             instance = self._instances.get(key)
             if instance is None:
-                instance = AutomatonInstance(self.policy, key, self.policy.core.initial)
+                instance = AutomatonInstance(self.policy, key, self.policy.initial)
                 self._instances[key] = instance
                 if self.policy.instancing is Instancing.PER_BINDER:
                     insort(self._keys_by_component.setdefault(key[0], []), key)
@@ -296,7 +296,7 @@ class ModuleRegistry:
             raise ValueError("module names must be unique")
         candidates: dict[tuple[EventKind, str], list[int]] = {}
         for idx, module in enumerate(self.modules):
-            for kind_name in module.policy.core.alphabet:
+            for kind_name in dict.fromkeys((p.kind, p.name) for p in module.policy.alphabet):
                 candidates.setdefault(kind_name, []).append(idx)
         self._candidates = {key: tuple(idxs) for key, idxs in candidates.items()}
 
@@ -449,7 +449,7 @@ def enforce_trace(
     carries history; callers wanting a fresh run should use a fresh
     registry or call ``registry.reset()`` first. Any failure on an input
     event, including one that cannot be routed to an instance (see
-    :meth:`AutomatonCore.route`), stops the run with an
+    :meth:`PolicySpec.route`), stops the run with an
     :class:`EnforcementError` whose message starts with that event's seq.
     """
     report = EnforcementReport.for_registry(registry)
@@ -465,7 +465,7 @@ def _enforce_input(
     """:func:`enforce_event` for one event of an input trace.
 
     Any failure, including an event that cannot be routed (see
-    :meth:`AutomatonCore.route`), raises an :class:`EnforcementError`
+    :meth:`PolicySpec.route`), raises an :class:`EnforcementError`
     whose message starts with ``seq N: `` for the event's seq.
     """
     try:

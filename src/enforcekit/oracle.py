@@ -90,24 +90,23 @@ def _step_monitor(
     ``states`` maps instance keys to states and is updated in place.
     Alphabet events with no matching transition self-loop, events outside
     the alphabet are ignored, and error states absorb. An event that
-    cannot be keyed to an instance is skipped; :meth:`AutomatonCore.route`
+    cannot be keyed to an instance is skipped; :meth:`MonitorAutomaton.route`
     states that rule.
     """
-    core = monitor.core
-    pattern = core.match(event)
+    pattern = monitor.match(event)
     if pattern is None:
         return []
     try:
-        keys, _bindings = core.route(event, pattern, states)
+        keys, _bindings = monitor.route(event, pattern, states)
     except DispatchError:
         return []
     errors = monitor.error_states
     violations: list[Violation] = []
     for key in keys:
-        current = states.setdefault(key, core.initial)
+        current = states.setdefault(key, monitor.initial)
         if current in errors:
             continue
-        t = core.transition(current, event)
+        t = monitor.transition(current, event)
         if t is not None:
             states[key] = t.target
             if t.target in errors:
@@ -223,7 +222,7 @@ def brute_force_verify(
     output: list[Event] = []  # their enforced output, not renumbered
     # The empty trace (counted above) enforces to itself and violates
     # nothing; its state is the fresh one every walk starts from.
-    root = _Node((), {}, {}, False, False, 0, 0)
+    root = _Node((), {}, {}, 0, 0)
     children = range(len(universe.alphabet) - 1, -1, -1)  # popped in order
     stack = [(1, i, root) for i in children]
     while stack:
@@ -242,17 +241,16 @@ def brute_force_verify(
                 failure, failure_len = err, depth
             continue
         output += emitted
-        in_bad, out_bad, lcp = parent.in_bad, parent.out_bad, parent.lcp
-        in_states = out_states = None
-        if not out_bad:
-            out_states = dict(parent.out_states)
-            out_bad = any(_step_monitor(monitor, out_states, e) for e in emitted)
-            out_states = None if out_bad else out_states
-        if not in_bad:
-            in_states = dict(parent.in_states)
-            in_bad = bool(_step_monitor(monitor, in_states, event))
-            in_states = None if in_bad else in_states
-        if not in_bad:
+        in_states, out_states, lcp = parent.in_states, parent.out_states, parent.lcp
+        if out_states is not None:
+            out_states = dict(out_states)
+            if any(_step_monitor(monitor, out_states, e) for e in emitted):
+                out_states = None
+        if in_states is not None:
+            in_states = dict(in_states)
+            if _step_monitor(monitor, in_states, event):
+                in_states = None
+        if in_states is not None:
             # A mismatch inside the common length stays; otherwise one is
             # a prefix of the other and the prefix may grow.
             if lcp == min(parent.out_len, depth - 1):
@@ -262,16 +260,13 @@ def brute_force_verify(
             if lcp != depth or len(output) != depth:
                 verdict.transparent = False
                 _keep(opaque[depth], path, counterexample_limit)
-        if out_bad:
+        if out_states is None:
             verdict.sound = False
             _keep(unsound[depth], path, counterexample_limit)
         if depth < max_len and depth + 1 < failure_len:
             # The next node replaces these instances and copies the states,
             # so the node can hold them without copying.
-            node = _Node(
-                module._snapshot(),
-                in_states, out_states, in_bad, out_bad, len(output), lcp,
-            )
+            node = _Node(module._snapshot(), in_states, out_states, len(output), lcp)
             stack += [(depth + 1, i, node) for i in children]
     if failure is not None:
         raise failure
@@ -290,17 +285,15 @@ class _Node(NamedTuple):
 
     ``instances`` holds (key, state, bindings) of the policy's live
     instances; ``in_states`` and ``out_states`` are the monitor's instance
-    states on the input and on the output so far. A monitor whose flag is
-    set is not stepped again, because a violation stays one in every
-    extension, and its states are then None. ``lcp`` is the length of the
+    states on the input and on the output so far, or None once that side
+    has violated the monitor: a violation stays one in every extension,
+    so that side is not stepped again. ``lcp`` is the length of the
     common prefix of input and output, ignoring seq.
     """
 
     instances: tuple[tuple[tuple[str, ...], str, dict[str, str]], ...]
     in_states: dict[tuple[str, ...], str] | None
     out_states: dict[tuple[str, ...], str] | None
-    in_bad: bool
-    out_bad: bool
     out_len: int
     lcp: int
 

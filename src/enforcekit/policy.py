@@ -10,13 +10,14 @@ A monitor is the same keyed automaton without outputs, with absorbing
 error states instead (Ligatti, Bauer and Walker's edit automata that never
 edit). :class:`PolicySpec` and :class:`MonitorAutomaton` share one flat
 shape and one constructor, which validates the spec and builds its
-:class:`AutomatonCore`: the alphabet and transition indexes, and routing
-to instance keys.
+alphabet and transition indexes. Each spec is the runtime its callers
+step: it matches events, picks transitions and routes events to instance
+keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterable, Union
 
@@ -39,7 +40,6 @@ __all__ = [
     "PolicySpec",
     "MonitorAutomaton",
     "DispatchError",
-    "AutomatonCore",
     "patterns_overlap",
     "validate_policy",
 ]
@@ -229,98 +229,19 @@ class Instancing(Enum):
 InstanceKey = tuple[str, ...]
 
 
-class AutomatonCore:
-    """The keyed-automaton runtime that policies and monitors share.
-
-    Built once per spec, by its constructor: the alphabet indexed by
-    (kind, name), the transitions indexed by (state, kind, name), and the
-    instancing that routes a matched event to instance keys. What a step
-    does with the chosen transition stays with the caller: edit outputs
-    and the default action for the enforcer, self-loops and absorbing
-    error states for monitors.
-    """
-
-    __slots__ = ("initial", "instancing", "alphabet", "transitions")
-
-    def __init__(
-        self,
-        initial: str,
-        instancing: Instancing,
-        alphabet: Iterable[EventPattern],
-        transitions: tuple[Transition, ...],
-    ):
-        self.initial = initial
-        self.instancing = instancing
-        self.alphabet: dict[tuple[EventKind, str], list[EventPattern]] = {}
-        for pattern in alphabet:
-            self.alphabet.setdefault((pattern.kind, pattern.name), []).append(pattern)
-        self.transitions = index_transitions(transitions)
-
-    def match(self, event: Event) -> EventPattern | None:
-        """First alphabet pattern matching the event, or None."""
-        for pattern in self.alphabet.get((event.kind, event.name), ()):
-            if pattern.matches(event):
-                return pattern
-        return None
-
-    def transition(self, state: str, event: Event) -> Transition | None:
-        """First transition out of ``state`` matching the event, or None."""
-        for t in self.transitions.get((state, event.kind, event.name), ()):
-            if t.pattern.matches(event):
-                return t
-        return None
-
-    def route(
-        self, event: Event, pattern: EventPattern, live: Iterable[InstanceKey]
-    ) -> tuple[list[InstanceKey], dict[str, str]]:
-        """Instance keys an event matching ``pattern`` addresses, and its binding.
-
-        The key is ``()`` for singleton, ``(component,)`` for per-component
-        and ``(component, value)`` for per-binder instancing, where value is
-        the attribute the pattern's binder names. Under per-binder
-        instancing a binder-free pattern broadcasts: it addresses the keys
-        in ``live`` that belong to the event's component, in ascending
-        order, and creates none, so ``live`` may hold every live key or
-        just the component's. The binding maps the pattern's binder
-        variable to the event's value, when the event carries one.
-
-        Missing binder attribute: an event that matches a binder pattern
-        under per-binder instancing but lacks the bound attribute cannot be
-        keyed, and routing it raises :class:`DispatchError`. ``check``
-        skips such an event, so a monitor stays total over any trace;
-        ``enforce_trace`` fails with an ``EnforcementError`` that carries
-        the event's seq.
-        """
-        bound = pattern.binder()
-        bindings: dict[str, str] = {}
-        if bound is not None:
-            attr, var = bound
-            value = event.attrs.get(attr)
-            if value is not None:
-                bindings[var] = value
-            elif self.instancing is Instancing.PER_BINDER:
-                raise DispatchError(
-                    f"event {event.literal()} matches pattern '{pattern.text()}' "
-                    f"but lacks binder attribute {attr!r}"
-                )
-        if self.instancing is Instancing.SINGLETON:
-            return [()], bindings
-        if self.instancing is Instancing.PER_COMPONENT:
-            return [(event.component,)], bindings
-        if bound is None:
-            component = event.component
-            return sorted(k for k in live if k[0] == component), bindings
-        return [(event.component, value)], bindings
-
-
 @dataclass(frozen=True)
 class _KeyedSpec:
     """The fields and checks policies and monitors share.
 
     ``alphabet`` is the set of event patterns the automaton observes;
     events matching no alphabet pattern are invisible to it. Every
-    transition pattern must be one of the alphabet patterns. ``core`` is
-    built once, here, and shared by every instance.
+    transition pattern must be one of the alphabet patterns. The
+    constructor indexes the alphabet by (kind, name) and the transitions
+    by (state, kind, name), once per spec; the indexes are private
+    attributes, not fields, so equality, hashing and ``repr`` ignore them.
+    What a step does with the chosen transition stays with its caller:
+    outputs and the default action for the enforcer, self-loops and
+    absorbing error states for monitors.
     """
 
     kind: ClassVar[str]  # "policy" or "monitor", as in the text language
@@ -332,7 +253,6 @@ class _KeyedSpec:
     instancing: Instancing = Instancing.SINGLETON
     binder_attr: str | None = None
     statement: str = ""
-    core: AutomatonCore = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states, transitions = tuple(self.states), tuple(self.transitions)
@@ -381,12 +301,71 @@ class _KeyedSpec:
                 )
         elif binder_attr is not None:
             raise ValueError("binder_attr is only meaningful with per-binder instancing")
-        core = AutomatonCore(self.initial, self.instancing, alphabet, transitions)
-        object.__setattr__(self, "core", core)
+        by_name: dict[tuple[EventKind, str], list[EventPattern]] = {}
+        for pattern in alphabet:
+            by_name.setdefault((pattern.kind, pattern.name), []).append(pattern)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_state", index_transitions(transitions))
 
     def _check_kind(self, states: set[str], transitions) -> None:
         """The kind's own rules, checked after the states and before the rest."""
         raise NotImplementedError
+
+    def match(self, event: Event) -> EventPattern | None:
+        """First alphabet pattern matching the event, or None."""
+        for pattern in self._by_name.get((event.kind, event.name), ()):
+            if pattern.matches(event):
+                return pattern
+        return None
+
+    def transition(self, state: str, event: Event) -> Transition | None:
+        """First transition out of ``state`` matching the event, or None."""
+        for t in self._by_state.get((state, event.kind, event.name), ()):
+            if t.pattern.matches(event):
+                return t
+        return None
+
+    def route(
+        self, event: Event, pattern: EventPattern, live: Iterable[InstanceKey]
+    ) -> tuple[list[InstanceKey], dict[str, str]]:
+        """Instance keys an event matching ``pattern`` addresses, and its binding.
+
+        The key is ``()`` for singleton, ``(component,)`` for per-component
+        and ``(component, value)`` for per-binder instancing, where value is
+        the attribute the pattern's binder names. Under per-binder
+        instancing a binder-free pattern broadcasts: it addresses the keys
+        in ``live`` that belong to the event's component, in ascending
+        order, and creates none, so ``live`` may hold every live key or
+        just the component's. The binding maps the pattern's binder
+        variable to the event's value, when the event carries one.
+
+        Missing binder attribute: an event that matches a binder pattern
+        under per-binder instancing but lacks the bound attribute cannot be
+        keyed, and routing it raises :class:`DispatchError`. ``check``
+        skips such an event, so a monitor stays total over any trace;
+        ``enforce_trace`` fails with an ``EnforcementError`` that carries
+        the event's seq.
+        """
+        bound = pattern.binder()
+        bindings: dict[str, str] = {}
+        if bound is not None:
+            attr, var = bound
+            value = event.attrs.get(attr)
+            if value is not None:
+                bindings[var] = value
+            elif self.instancing is Instancing.PER_BINDER:
+                raise DispatchError(
+                    f"event {event.literal()} matches pattern '{pattern.text()}' "
+                    f"but lacks binder attribute {attr!r}"
+                )
+        if self.instancing is Instancing.SINGLETON:
+            return [()], bindings
+        if self.instancing is Instancing.PER_COMPONENT:
+            return [(event.component,)], bindings
+        if bound is None:
+            component = event.component
+            return sorted(k for k in live if k[0] == component), bindings
+        return [(event.component, value)], bindings
 
 
 @dataclass(frozen=True)
@@ -414,8 +393,8 @@ class MonitorAutomaton(_KeyedSpec):
 
     The monitor is total over its alphabet: an alphabet event with no
     matching transition self-loops. Events outside the alphabet are
-    invisible. Instances are keyed exactly like policy instances: both
-    build the same :class:`AutomatonCore`.
+    invisible. Instances are keyed exactly like policy instances, by the
+    same :meth:`route`.
     """
 
     kind: ClassVar[str] = "monitor"
@@ -497,7 +476,7 @@ def validate_policy(spec: PolicySpec) -> list[Diagnostic]:
     and suppressed lifecycle callbacks.
     """
     diagnostics = automaton_diagnostics(spec)
-    alphabet_names = spec.core.alphabet
+    alphabet_names = {(p.kind, p.name) for p in spec.alphabet}
     for t in spec.transitions:
         assert t.output is not None
         for item in t.output.items:

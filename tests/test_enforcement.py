@@ -615,7 +615,7 @@ def _sorted_scan(module, component: str) -> list:
 def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
     registry = _registry(CAMERA, OSGI)
     module = registry.module("OsgiUnregister")
-    core = module.policy.core
+    spec = module.policy
     saved = module._snapshot()
     for seq, op in enumerate(ops, 1):
         if op == "reset":
@@ -630,11 +630,11 @@ def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
         else:
             event = dataclasses.replace(op, seq=seq)
             if event.name == "stop":
-                pattern = core.match(event)
+                pattern = spec.match(event)
                 expected = _sorted_scan(module, event.component)
                 indexed = module._keys_by_component.get(event.component, ())
-                assert core.route(event, pattern, indexed)[0] == expected
-                assert core.route(event, pattern, module.instances)[0] == expected
+                assert spec.route(event, pattern, indexed)[0] == expected
+                assert spec.route(event, pattern, module.instances)[0] == expected
             enforce_event(registry, event)
         for component in ("B1", "B2"):
             indexed = module._keys_by_component.get(component, [])

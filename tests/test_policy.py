@@ -22,7 +22,7 @@ from enforcekit import (
     Transition,
     validate_policy,
 )
-from enforcekit.policy import AutomatonCore, patterns_overlap
+from enforcekit.policy import patterns_overlap
 
 
 def pat(kind: EventKind, name: str, **constraints) -> EventPattern:
@@ -38,16 +38,19 @@ CB = EventKind.CALLBACK
 
 
 def route(event: Event, pattern: EventPattern, instancing: Instancing, live=()):
-    """Route through a bare core over ``pattern`` alone."""
-    core = AutomatonCore("S", instancing, (pattern,), ())
-    return core.route(event, pattern, live)
+    """Route through a one-pattern policy over ``pattern`` alone."""
+    binder_attr = pattern.binder()[0] if instancing is Instancing.PER_BINDER else None
+    spec = PolicySpec(
+        "P", ("S",), "S", alphabet=(pattern,), instancing=instancing, binder_attr=binder_attr
+    )
+    return spec.route(event, pattern, live)
 
 
 def instance_keys(event: Event, spec: PolicySpec, live=()):
-    """Keys the spec's core routes an event to, after matching its alphabet."""
-    pattern = spec.core.match(event)
+    """Keys the spec routes an event to, after matching its alphabet."""
+    pattern = spec.match(event)
     assert pattern is not None
-    keys, _bindings = spec.core.route(event, pattern, live)
+    keys, _bindings = spec.route(event, pattern, live)
     return keys
 
 
@@ -361,7 +364,7 @@ class TestInstanceKeys:
             instance_keys(Event.api("registerService", "B1"), osgi_policy)
 
     def test_off_alphabet_event_matches_no_pattern(self, camera_policy):
-        assert camera_policy.core.match(Event.cb("onResume", "A1")) is None
+        assert camera_policy.match(Event.cb("onResume", "A1")) is None
 
 
 # --- soundness of the determinism check ---------------------------------
