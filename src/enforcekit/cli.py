@@ -303,8 +303,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         universe = EventUniverse(alphabet, args.max_len)
     except ValueError as err:
         raise _CliError(str(err)) from err
-    size = universe.size()
-    if size > VERIFY_TRACE_LIMIT:
+    # Over two or more events the universe holds at least 2**max_len traces.
+    # When that bound is over the budget, skip the exact count: it can have
+    # millions of digits.
+    many = len(alphabet) > 1 and args.max_len >= VERIFY_TRACE_LIMIT.bit_length()
+    size = f"at least 2**{args.max_len}" if many else universe.size()
+    if many or size > VERIFY_TRACE_LIMIT:
         raise _CliError(
             f"universe holds {size} traces, over the {VERIFY_TRACE_LIMIT} budget; "
             f"shrink the alphabet or --max-len"

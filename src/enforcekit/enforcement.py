@@ -285,7 +285,10 @@ class ModuleRegistry:
     )
 
     def __post_init__(self):
-        if self.insert_depth_limit < 1:
+        limit = self.insert_depth_limit
+        if not isinstance(limit, int) or isinstance(limit, bool):
+            raise TypeError(f"insert_depth_limit must be an int, got {limit!r}")
+        if limit < 1:
             raise ValueError("insert_depth_limit must be a positive integer")
         self.modules = tuple(sorted(self.modules, key=lambda m: m.priority))
         priorities = [m.priority for m in self.modules]
@@ -321,6 +324,8 @@ class ModuleRegistry:
         ones start at the initial state. A reactivated module has no memory
         of events it did not observe.
         """
+        if not isinstance(active, bool):
+            raise TypeError(f"'active' must be a bool, got {active!r}")
         module = self.module(name)
         if active and not module.active:
             module.reset()

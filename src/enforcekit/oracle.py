@@ -125,6 +125,8 @@ class EventUniverse:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         if not self.alphabet:
             raise ValueError("the alphabet must be non-empty")
+        if not isinstance(self.max_len, int) or isinstance(self.max_len, bool):
+            raise TypeError(f"max_len must be an int, got {self.max_len!r}")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
         if len(set(e.literal() for e in self.alphabet)) != len(self.alphabet):
@@ -132,8 +134,8 @@ class EventUniverse:
 
     def size(self) -> int:
         """Number of traces of length 0..max_len over the alphabet."""
-        base = len(self.alphabet)
-        return sum(base**k for k in range(self.max_len + 1))
+        base, n = len(self.alphabet), self.max_len
+        return n + 1 if base == 1 else (base ** (n + 1) - 1) // (base - 1)
 
 
 def enumerate_traces(universe: EventUniverse) -> Iterator[Trace]:

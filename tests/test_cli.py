@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,9 @@ def _run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def _verify_args(policy: str, *, max_len: int = 3) -> list[str]:
+def _verify_args(policy: str, *, max_len: int = 3, events=CAMERA_EVENTS) -> list[str]:
     args = ["verify", "-p", policy, "-m", CAMERA_MONITOR, "--max-len", str(max_len)]
-    for literal in CAMERA_EVENTS:
+    for literal in events:
         args += ["-e", literal]
     return args
 
@@ -427,12 +428,27 @@ class TestVerify:
         assert code == 0
         assert "type=verdict traces=85 sound=yes transparent=yes" in out
 
-    def test_budget_guard(self, capsys):
-        code, _, err = _run(capsys, *_verify_args(CAMERA_POLICY, max_len=10))
-        assert code == 2
-        assert (
-            "error: universe holds 1398101 traces, over the 1000000 budget; "
-            "shrink the alphabet or --max-len" in err
+    @pytest.mark.parametrize(
+        "events, max_len, held",
+        [
+            (CAMERA_EVENTS, 10, "1398101"),
+            # Long bounds are refused from 2**max_len, before the exact
+            # count, which would have thousands of digits.
+            (CAMERA_EVENTS[::2], 20000, "at least 2**20000"),
+            (CAMERA_EVENTS[::2], 100000, "at least 2**100000"),
+            (CAMERA_EVENTS[::2], 1000000000, "at least 2**1000000000"),
+            (CAMERA_EVENTS[:1], 1000000000, "1000000001"),
+        ],
+    )
+    def test_budget_guard(self, capsys, events, max_len, held):
+        argv = _verify_args(CAMERA_POLICY, max_len=max_len, events=events)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: universe holds {held} traces, over the 1000000 budget; "
+            "shrink the alphabet or --max-len\n"
         )
 
     def test_unroutable_universe_event_is_unusable(self, capsys, monkeypatch):

@@ -274,6 +274,11 @@ class TestInsertionDepth:
         with pytest.raises(ValueError, match="positive"):
             ModuleRegistry([], 0)
 
+    @pytest.mark.parametrize("limit", [True, False, 2.5, "16", None])
+    def test_limit_must_be_an_int(self, limit):
+        with pytest.raises(TypeError, match="insert_depth_limit must be an int"):
+            ModuleRegistry([], limit)
+
 
 class TestModuleChaining:
     def test_synthesized_events_are_rewritten_downstream(self):
@@ -351,6 +356,13 @@ class TestActivation:
             UnknownModuleError, match="no module named 'Nope' in the registry"
         ):
             registry.set_active("Nope", True)
+
+    @pytest.mark.parametrize("active", ["off", "", 0, 1, None])
+    def test_flag_must_be_a_bool(self, active):
+        registry = _registry(CAMERA)
+        with pytest.raises(TypeError, match="'active' must be a bool"):
+            registry.set_active("CameraRelease", active)
+        assert registry.module("CameraRelease").active is True
 
     def test_inactive_module_is_identity(self):
         registry = _registry(CAMERA)

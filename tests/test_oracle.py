@@ -230,6 +230,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="at least 1"):
             EventUniverse((OPEN,), 0)
 
+    @pytest.mark.parametrize("max_len", [True, False, 2.5, "3", None])
+    def test_bound_must_be_an_int(self, max_len):
+        with pytest.raises(TypeError, match="max_len must be an int"):
+            EventUniverse((OPEN,), max_len)
+
 
 class TestBruteForceVerify:
     def test_camera_policy_is_sound_and_transparent(

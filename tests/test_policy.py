@@ -24,6 +24,8 @@ from enforcekit import (
 )
 from enforcekit.policy import patterns_overlap
 
+from conftest import BINDER_PATTERNS, PLAIN_PATTERNS, monitors, policies
+
 
 def pat(kind: EventKind, name: str, **constraints) -> EventPattern:
     items = tuple(
@@ -365,6 +367,34 @@ class TestInstanceKeys:
 
     def test_off_alphabet_event_matches_no_pattern(self, camera_policy):
         assert camera_policy.match(Event.cb("onResume", "A1")) is None
+
+
+# --- the spec's indexes against a linear scan ------------------------------
+#
+# Every pattern name of the generated alphabets, under either kind, with
+# and without its literal and ``res`` attributes, on two components.
+
+_ATTR_VARIANTS = (
+    {}, {"mode": "fast"}, {"mode": "slow"}, {"res": "R1"}, {"mode": "fast", "res": "R1"}
+)
+_SCAN_EVENTS = [
+    Event(kind, name, component, attrs=attrs)
+    for name in dict.fromkeys(p.name for p in PLAIN_PATTERNS + BINDER_PATTERNS)
+    for kind in EventKind
+    for component in ("C1", "C2")
+    for attrs in _ATTR_VARIANTS
+]
+
+
+@given(st.one_of(policies(), monitors()))
+def test_indexes_agree_with_a_linear_scan(spec):
+    for event in _SCAN_EVENTS:
+        first = next((p for p in spec.alphabet if p.matches(event)), None)
+        assert spec.match(event) is first
+        for state in spec.states:
+            scan = (t for t in spec.transitions if t.source == state)
+            first = next((t for t in scan if t.pattern.matches(event)), None)
+            assert spec.transition(state, event) is first
 
 
 # --- soundness of the determinism check ---------------------------------
