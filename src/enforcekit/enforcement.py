@@ -6,9 +6,11 @@ it, suppress it, or surround it with synthesized events. Synthesized events
 flow only downstream (to strictly lower-priority modules), never back into
 the module that inserted them, and the total insertion depth is bounded.
 
-The registry (module flags and instance states) is the only mutable state
-in the toolkit; it is single-owner and not thread safe. Events and traces
-stay immutable throughout.
+The modules (their flags and instances) are the only mutable state in the
+toolkit; they are single-owner and not thread safe. ``ProactiveModule.step``
+is the only code that routes an event to instances and combines their
+outputs, and ``ProactiveModule._add`` the only one that creates an instance
+and indexes its key. Events, traces and the registry stay immutable.
 """
 
 from __future__ import annotations
@@ -136,10 +138,9 @@ class ProactiveModule:
 
     Under per-binder instancing the module also keeps each component's
     live instance keys in ascending order, so a broadcast reads its
-    component's keys instead of scanning every live one. Only the
-    module's own methods (``reset``, or stepping events) change its
-    instances, which keeps that index in step; ``instances`` is a
-    read-only view.
+    component's keys instead of scanning every live one. :meth:`_add` is
+    the only code that creates an instance and indexes its key, for
+    :meth:`step` and :meth:`_restore`; ``instances`` is a read-only view.
     """
 
     policy: PolicySpec
@@ -149,6 +150,12 @@ class ProactiveModule:
     _keys_by_component: dict[str, list[InstanceKey]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
+            raise TypeError(f"'priority' must be an int, got {self.priority!r}")
+        if not isinstance(self.active, bool):
+            raise TypeError(f"'active' must be a bool, got {self.active!r}")
 
     @property
     def name(self) -> str:
@@ -168,30 +175,44 @@ class ProactiveModule:
         self._instances.clear()
         self._keys_by_component.clear()
 
-    def _select_instances(
-        self, event: Event, pattern: EventPattern
-    ) -> list[AutomatonInstance]:
-        """Instances addressed by a matching event, created lazily.
+    def step(self, event: Event, pattern: EventPattern) -> list[Event]:
+        """Step the instances a matching event addresses; return the module's output.
 
-        :meth:`PolicySpec.route` picks the keys. It is handed the live
-        keys of the event's component only, which are all a broadcast can
-        address; a broadcast creates no instance, so with none live it
-        simply passes.
+        :meth:`PolicySpec.route` picks the keys from the live keys of the
+        event's component, which are all a broadcast can address; a
+        missing instance starts at the initial state, and a broadcast
+        creates none. The output is every instance's pre-input insertions,
+        then the input itself unless some instance suppressed it, then
+        every post-input insertion; ``[event]`` means the module passed it.
         """
         live = self._keys_by_component.get(event.component, ())
         keys, bindings = self.policy.route(event, pattern, live)
-        selected = []
+        pre, post, suppressed = [], [], False
         for key in keys:
             instance = self._instances.get(key)
             if instance is None:
-                instance = AutomatonInstance(self.policy, key, self.policy.initial)
-                self._instances[key] = instance
-                if self.policy.instancing is Instancing.PER_BINDER:
-                    insort(self._keys_by_component.setdefault(key[0], []), key)
+                instance = self._add(key, self.policy.initial, {})
             if bindings:
                 instance.bindings.update(bindings)
-            selected.append(instance)
-        return selected
+            outputs = instance.step(event)
+            if len(outputs) == 1 and outputs[0] is event:
+                continue  # passed unchanged
+            for position, emitted in enumerate(outputs):
+                if emitted is event:
+                    pre.extend(outputs[:position])
+                    post.extend(outputs[position + 1 :])
+                    break
+            else:
+                suppressed = True
+                pre.extend(outputs)
+        return pre + post if suppressed else [*pre, event, *post]
+
+    def _add(self, key: InstanceKey, state: str, bindings: dict[str, str]) -> AutomatonInstance:
+        """Create the instance at ``key`` and index its key."""
+        instance = self._instances[key] = AutomatonInstance(self.policy, key, state, bindings)
+        if self.policy.instancing is Instancing.PER_BINDER:
+            insort(self._keys_by_component.setdefault(key[0], []), key)
+        return instance
 
     def _snapshot(self) -> tuple[tuple[InstanceKey, str, dict[str, str]], ...]:
         """(key, state, bindings) of every live instance, for :meth:`_restore`.
@@ -201,19 +222,11 @@ class ProactiveModule:
         """
         return tuple((k, i.current, i.bindings) for k, i in self._instances.items())
 
-    def _restore(
-        self, saved: tuple[tuple[InstanceKey, str, dict[str, str]], ...]
-    ) -> None:
-        """Replace every instance with fresh copies of the saved ones, and
-        rebuild the per-component key index from them."""
-        instances, policy, index = self._instances, self.policy, self._keys_by_component
-        instances.clear()
+    def _restore(self, saved: tuple[tuple[InstanceKey, str, dict[str, str]], ...]) -> None:
+        """Replace every instance with fresh copies of the saved ones."""
+        self.reset()
         for key, state, bindings in saved:
-            instances[key] = AutomatonInstance(policy, key, state, dict(bindings))
-        index.clear()
-        if policy.instancing is Instancing.PER_BINDER:
-            for key in sorted(instances):
-                index.setdefault(key[0], []).append(key)
+            self._add(key, state, dict(bindings))
 
 
 @dataclass
@@ -269,13 +282,14 @@ class EnforcementReport:
         return total.inserted - total.suppressed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleRegistry:
     """Proactive modules ordered by priority, plus the insertion bound.
 
     The modules are fixed at construction, as a tuple in priority order,
     and indexed by the (kind, name) pairs of their alphabets: an event
-    outside every alphabet then passes without visiting any module.
+    outside every alphabet then passes without visiting any module. The
+    registry is frozen; ``set_active`` and ``reset`` change its modules.
     """
 
     modules: tuple[ProactiveModule, ...] = ()
@@ -290,7 +304,7 @@ class ModuleRegistry:
             raise TypeError(f"insert_depth_limit must be an int, got {limit!r}")
         if limit < 1:
             raise ValueError("insert_depth_limit must be a positive integer")
-        self.modules = tuple(sorted(self.modules, key=lambda m: m.priority))
+        object.__setattr__(self, "modules", tuple(sorted(self.modules, key=lambda m: m.priority)))
         priorities = [m.priority for m in self.modules]
         if len(set(priorities)) != len(priorities):
             raise ValueError("module priorities must be unique")
@@ -301,7 +315,7 @@ class ModuleRegistry:
         for idx, module in enumerate(self.modules):
             for kind_name in dict.fromkeys((p.kind, p.name) for p in module.policy.alphabet):
                 candidates.setdefault(kind_name, []).append(idx)
-        self._candidates = {key: tuple(idxs) for key, idxs in candidates.items()}
+        object.__setattr__(self, "_candidates", {k: tuple(v) for k, v in candidates.items()})
 
     @classmethod
     def from_policies(
@@ -337,56 +351,21 @@ class ModuleRegistry:
             module.reset()
 
 
-def _apply_module(
-    module: ProactiveModule,
-    event: Event,
-    pattern: EventPattern,
-    report: EnforcementReport | None,
-    origin_seq: int,
-) -> tuple[list[Event], bool, list[Event]]:
-    """Step every addressed instance; combine per the fan-out rule.
-
-    Returns (pre-insertions, emit-input, post-insertions): all pre-input
-    insertions first in instance order, the input once unless any instance
-    suppressed it, then all post-input insertions in instance order.
-    """
-    pre: list[Event] = []
-    post: list[Event] = []
-    suppressed = False
-    for instance in module._select_instances(event, pattern):
-        outputs = instance.step(event)
-        if len(outputs) == 1 and outputs[0] is event:
-            continue  # passed unchanged
-        for position, emitted in enumerate(outputs):
-            if emitted is event:
-                pre.extend(outputs[:position])
-                post.extend(outputs[position + 1 :])
-                break
-        else:
-            suppressed = True
-            pre.extend(outputs)
-    emit_input = not suppressed
-    if report is not None:
-        counts = report.counts.get(module.name)
-        if counts is None:
-            counts = report.counts[module.name] = ModuleCounts()
-        counts.inserted += len(pre) + len(post)
-        if emit_input:
-            counts.passed += 1
-        else:
-            counts.suppressed += 1
-            report.records.append(
-                EditRecord(origin_seq, module.name, SUPPRESS, event.literal())
-            )
-        for synth in pre:
-            report.records.append(
-                EditRecord(origin_seq, module.name, INSERT, synth.literal())
-            )
-        for synth in post:
-            report.records.append(
-                EditRecord(origin_seq, module.name, INSERT, synth.literal())
-            )
-    return pre, emit_input, post
+def _account(
+    report: EnforcementReport, name: str, event: Event, emitted: list[Event], origin_seq: int
+) -> None:
+    """Count and record one module's step on ``event`` from its emitted list."""
+    counts = report.counts.get(name)
+    if counts is None:
+        counts = report.counts[name] = ModuleCounts()
+    inserted = [e for e in emitted if e is not event]
+    counts.inserted += len(inserted)
+    if len(inserted) < len(emitted):
+        counts.passed += 1
+    else:
+        counts.suppressed += 1
+        report.records.append(EditRecord(origin_seq, name, SUPPRESS, event.literal()))
+    report.records += [EditRecord(origin_seq, name, INSERT, e.literal()) for e in inserted]
 
 
 def _dispatch(
@@ -398,6 +377,11 @@ def _dispatch(
     report: EnforcementReport | None,
     origin_seq: int,
 ) -> list[Event]:
+    """Run ``event`` through the active modules from index ``start`` on.
+
+    A pass hands the event to the next module. After an edit the input goes
+    downstream at ``depth`` and each synthesized event one level deeper.
+    """
     modules = registry.modules
     for idx in registry._candidates.get((event.kind, event.name), ()):
         module = modules[idx]
@@ -406,29 +390,27 @@ def _dispatch(
         pattern = module.alphabet_match(event)
         if pattern is None:
             continue
-        pre, emit_input, post = _apply_module(module, event, pattern, report, origin_seq)
-        if pre or post:
-            limit = registry.insert_depth_limit
-            next_chain = chain + (module.name,)
-            if depth + 1 > limit:
-                raise EnforcementError(
-                    f"insertion depth limit {limit} exceeded "
-                    f"(module chain: {' -> '.join(next_chain)})",
-                    seq=origin_seq,
-                )
+        emitted = module.step(event, pattern)
+        if report is not None:
+            _account(report, module.name, event, emitted, origin_seq)
+        if len(emitted) == 1 and emitted[0] is event:
+            continue
+        next_chain = chain + (module.name,)
+        limit = registry.insert_depth_limit
+        if emitted and depth >= limit:  # an edit that keeps anything inserts
+            raise EnforcementError(
+                f"insertion depth limit {limit} exceeded "
+                f"(module chain: {' -> '.join(next_chain)})",
+                seq=origin_seq,
+            )
         if idx + 1 == len(modules):  # no module downstream to pass them to
-            return [*pre, event, *post] if emit_input else pre + post
+            return emitted
         out: list[Event] = []
-        for synth in pre:
-            out.extend(
-                _dispatch(registry, synth, idx + 1, depth + 1, next_chain, report, origin_seq)
-            )
-        if emit_input:
-            out.extend(_dispatch(registry, event, idx + 1, depth, chain, report, origin_seq))
-        for synth in post:
-            out.extend(
-                _dispatch(registry, synth, idx + 1, depth + 1, next_chain, report, origin_seq)
-            )
+        for e in emitted:
+            if e is event:
+                out += _dispatch(registry, e, idx + 1, depth, chain, report, origin_seq)
+            else:
+                out += _dispatch(registry, e, idx + 1, depth + 1, next_chain, report, origin_seq)
         return out
     return [event]
 

@@ -4,7 +4,7 @@ import dataclasses
 import doctest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import enforcekit
 from enforcekit import (
@@ -30,9 +30,16 @@ from enforcekit import (
     serialize_trace,
 )
 from enforcekit import policy as policy_module
-from enforcekit.enforcement import INSERT, AutomatonInstance
+from enforcekit.enforcement import (
+    INSERT,
+    SUPPRESS,
+    AutomatonInstance,
+    EditRecord,
+    EnforcementReport,
+    ModuleCounts,
+)
 
-from conftest import CATALOG
+from conftest import BINDER_PATTERNS, CATALOG, PLAIN_PATTERNS, policies
 
 API = EventKind.API_CALL
 CB = EventKind.CALLBACK
@@ -279,6 +286,14 @@ class TestInsertionDepth:
         with pytest.raises(TypeError, match="insert_depth_limit must be an int"):
             ModuleRegistry([], limit)
 
+    @pytest.mark.parametrize("field, value", [("modules", ()), ("insert_depth_limit", 0)])
+    def test_registry_fields_cannot_be_reassigned(self, field, value):
+        registry = _registry(CAMERA)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(registry, field, value)
+        assert len(registry.modules) == 1
+        assert registry.insert_depth_limit == 16
+
 
 class TestModuleChaining:
     def test_synthesized_events_are_rewritten_downstream(self):
@@ -348,6 +363,11 @@ class TestModuleChaining:
         with pytest.raises(ValueError, match="names must be unique"):
             _registry(_suppressor("Same", "a"), _suppressor("Same", "b"))
 
+    @pytest.mark.parametrize("priority", ["a", 1.0, None, True, False])
+    def test_priority_must_be_an_int(self, priority):
+        with pytest.raises(TypeError, match="'priority' must be an int"):
+            ProactiveModule(CAMERA, priority=priority)
+
 
 class TestActivation:
     def test_unknown_module_name(self):
@@ -363,6 +383,11 @@ class TestActivation:
         with pytest.raises(TypeError, match="'active' must be a bool"):
             registry.set_active("CameraRelease", active)
         assert registry.module("CameraRelease").active is True
+
+    @pytest.mark.parametrize("active", ["no", "", 0, 1, None])
+    def test_constructor_flag_must_be_a_bool(self, active):
+        with pytest.raises(TypeError, match="'active' must be a bool"):
+            ProactiveModule(CAMERA, active=active)
 
     def test_inactive_module_is_identity(self):
         registry = _registry(CAMERA)
@@ -654,3 +679,159 @@ def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
     module._restore(module._snapshot())  # as the verify walk does at each node
     for component in ("B1", "B2"):
         assert module._keys_by_component.get(component, []) == _sorted_scan(module, component)
+
+
+# The stack as it was written before module steps returned one emitted
+# list: instance selection, the (pre, emit-input, post) fan-out and a
+# dispatch that recursed once per module an event passed. It keeps its own
+# instance tables and scans every module, so it shares neither the key
+# index nor the candidate index with the code under test.
+
+
+def _reference_select(policy, instances, event, pattern):
+    keys, bindings = policy.route(event, pattern, instances)
+    selected = []
+    for key in keys:
+        instance = instances.get(key)
+        if instance is None:
+            instance = instances[key] = AutomatonInstance(policy, key, policy.initial)
+        if bindings:
+            instance.bindings.update(bindings)
+        selected.append(instance)
+    return selected
+
+
+def _reference_apply(policy, instances, event, pattern, report, origin_seq):
+    pre, post, suppressed = [], [], False
+    for instance in _reference_select(policy, instances, event, pattern):
+        outputs = instance.step(event)
+        if len(outputs) == 1 and outputs[0] is event:
+            continue
+        for position, emitted in enumerate(outputs):
+            if emitted is event:
+                pre.extend(outputs[:position])
+                post.extend(outputs[position + 1 :])
+                break
+        else:
+            suppressed = True
+            pre.extend(outputs)
+    counts = report.counts[policy.name]
+    counts.inserted += len(pre) + len(post)
+    if suppressed:
+        counts.suppressed += 1
+        report.records.append(EditRecord(origin_seq, policy.name, SUPPRESS, event.literal()))
+    else:
+        counts.passed += 1
+    for synth in pre + post:
+        report.records.append(EditRecord(origin_seq, policy.name, INSERT, synth.literal()))
+    return pre, not suppressed, post
+
+
+def _reference_dispatch(stack, limit, event, start, depth, chain, report, origin_seq):
+    for idx in range(start, len(stack)):
+        policy, active, instances = stack[idx]
+        pattern = policy.match(event) if active else None
+        if pattern is None:
+            continue
+        pre, emit_input, post = _reference_apply(
+            policy, instances, event, pattern, report, origin_seq
+        )
+        next_chain = chain + (policy.name,)
+        if (pre or post) and depth + 1 > limit:
+            raise EnforcementError(
+                f"insertion depth limit {limit} exceeded "
+                f"(module chain: {' -> '.join(next_chain)})",
+                seq=origin_seq,
+            )
+        out = []
+        for synth in pre:
+            out += _reference_dispatch(
+                stack, limit, synth, idx + 1, depth + 1, next_chain, report, origin_seq
+            )
+        if emit_input:
+            out += _reference_dispatch(
+                stack, limit, event, idx + 1, depth, chain, report, origin_seq
+            )
+        for synth in post:
+            out += _reference_dispatch(
+                stack, limit, synth, idx + 1, depth + 1, next_chain, report, origin_seq
+            )
+        return out
+    return [event]
+
+
+def reference_enforce_trace(policies, active, limit, trace):
+    """``enforce_trace`` on a fresh stack of ``policies`` in priority order."""
+    stack = [(policy, on, {}) for policy, on in zip(policies, active)]
+    report = EnforcementReport({policy.name: ModuleCounts() for policy in policies})
+    out = []
+    for event in trace:
+        try:
+            out += _reference_dispatch(stack, limit, event, 0, 0, (), report, event.seq)
+        except (DispatchError, EnforcementError) as err:
+            raise EnforcementError(f"seq {event.seq}: {err}", seq=event.seq) from err
+    return Trace.renumbered(out), report
+
+
+_STACK_EVENTS = st.sampled_from(
+    [
+        make(name, component, **attrs)
+        for component in ("C1", "C2")
+        for make, name, attrs in [
+            # Events the plain-pattern policies match or synthesize.
+            (Event.cb, "onStop", {}),
+            (Event.api, "acquire", {}),
+            (Event.api, "release", {"mode": "fast"}),
+            (Event.api, "release", {"mode": "slow"}),
+            # Events the binder-pattern policies match or synthesize.
+            (Event.cb, "stop", {}),
+            (Event.api, "acquire", {"res": "r1"}),
+            (Event.api, "acquire", {"res": "r2"}),
+            (Event.api, "release", {"res": "r1"}),
+            (Event.api, "release", {"res": "r2"}),
+        ]
+    ]
+)
+
+
+def _outcome(run):
+    try:
+        out, report = run()
+    except EnforcementError as err:
+        return "error", str(err), err.seq
+    return "ok", out.events, report.counts, report.records
+
+
+def _edits_from_the_start(policy: PolicySpec) -> bool:
+    return any(
+        t.source == policy.initial and any(item is not INPUT for item in t.output.items)
+        for t in policy.transitions
+    )
+
+
+# Draws lean towards insertion chains, where the depth limit matters: most
+# stacks share one alphabet, every policy can insert from its initial
+# state, and a module is off one time in four.
+_STACKS = st.sampled_from([PLAIN_PATTERNS, BINDER_PATTERNS, None]).flatmap(
+    lambda patterns: st.lists(
+        policies(patterns).filter(_edits_from_the_start), min_size=1, max_size=3
+    )
+)
+
+
+@settings(max_examples=200)
+@given(
+    _STACKS,
+    st.lists(st.sampled_from([True, True, True, False]), min_size=3, max_size=3),
+    st.lists(_STACK_EVENTS, max_size=8),
+)
+def test_stack_agrees_with_the_reference_dispatch(specs, active, events):
+    specs = [dataclasses.replace(spec, name=f"M{i}") for i, spec in enumerate(specs)]
+    active = active[: len(specs)]
+    trace = Trace.renumbered(events)
+    for limit in (1, 2, 3):
+        registry = _registry(*specs, limit=limit)
+        for spec, on in zip(specs, active):
+            registry.set_active(spec.name, on)
+        expected = _outcome(lambda: reference_enforce_trace(specs, active, limit, trace))
+        assert _outcome(lambda: enforce_trace(registry, trace)) == expected
