@@ -39,159 +39,22 @@ trace that pauses while holding it:
 1
 """
 
-from .dsl import (
-    PolicyParseError,
-    PolicySemanticError,
-    parse_document,
-    parse_monitor,
-    parse_policy,
-    serialize_monitor,
-    serialize_policy,
-)
-from .enforcement import (
-    EditRecord,
-    EnforcementError,
-    EnforcementReport,
-    ModuleCounts,
-    ModuleRegistry,
-    ProactiveModule,
-    UnknownModuleError,
-    enforce_event,
-    enforce_trace,
-)
-from .events import (
-    Event,
-    EventKind,
-    LifecycleDiagnostic,
-    LifecycleModel,
-    Trace,
-    TraceParseError,
-    TraceValidationError,
-    parse_event_literal,
-    parse_trace,
-    serialize_trace,
-    validate_lifecycle,
-)
-from .oracle import (
-    EventUniverse,
-    Verdict,
-    Violation,
-    brute_force_verify,
-    check,
-    enumerate_traces,
-    validate_monitor,
-)
-from .policy import (
-    Binder,
-    DefaultAction,
-    Diagnostic,
-    DispatchError,
-    EventPattern,
-    INPUT,
-    Instancing,
-    Literal,
-    MonitorAutomaton,
-    OutputTemplate,
-    PASS,
-    PolicySpec,
-    Severity,
-    SynthEvent,
-    Transition,
-    validate_policy,
-)
-from .simulator import (
-    ApiCallStep,
-    BUILTIN_RESOURCES,
-    DeniedAcquire,
-    LeakRecord,
-    LeakReport,
-    LifecycleStep,
-    ResourceModel,
-    Scenario,
-    ScenarioError,
-    ScenarioParseError,
-    ToggleStep,
-    UnknownLifecycleError,
-    builtin_lifecycle,
-    inactive_states,
-    parse_scenario,
-    run_scenario,
-)
+from . import dsl, enforcement, events, oracle, policy, simulator
+from .dsl import *
+from .enforcement import *
+from .events import *
+from .oracle import *
+from .policy import *
+from .simulator import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # events
-    "Event",
-    "EventKind",
-    "Trace",
-    "LifecycleModel",
-    "LifecycleDiagnostic",
-    "TraceParseError",
-    "TraceValidationError",
-    "parse_trace",
-    "serialize_trace",
-    "parse_event_literal",
-    "validate_lifecycle",
-    # policy model
-    "PolicySpec",
-    "EventPattern",
-    "OutputTemplate",
-    "Transition",
-    "SynthEvent",
-    "Literal",
-    "Binder",
-    "INPUT",
-    "PASS",
-    "DefaultAction",
-    "Instancing",
-    "Severity",
-    "Diagnostic",
-    "DispatchError",
-    "validate_policy",
-    # policy language
-    "PolicyParseError",
-    "PolicySemanticError",
-    "parse_policy",
-    "parse_monitor",
-    "parse_document",
-    "serialize_policy",
-    "serialize_monitor",
-    # enforcement
-    "ModuleRegistry",
-    "ProactiveModule",
-    "ModuleCounts",
-    "EditRecord",
-    "EnforcementReport",
-    "EnforcementError",
-    "UnknownModuleError",
-    "enforce_event",
-    "enforce_trace",
-    # checking and verification
-    "MonitorAutomaton",
-    "Violation",
-    "EventUniverse",
-    "Verdict",
-    "check",
-    "validate_monitor",
-    "enumerate_traces",
-    "brute_force_verify",
-    # simulation
-    "Scenario",
-    "LifecycleStep",
-    "ApiCallStep",
-    "ToggleStep",
-    "ResourceModel",
-    "BUILTIN_RESOURCES",
-    "LeakRecord",
-    "DeniedAcquire",
-    "LeakReport",
-    "ScenarioError",
-    "ScenarioParseError",
-    "UnknownLifecycleError",
-    "builtin_lifecycle",
-    "inactive_states",
-    "parse_scenario",
-    "run_scenario",
-]
+# Each library module's __all__ is the one list of its public names.
+# enforcekit.cli stays out: its main is the console script.
+__all__ = ["__version__"]
+__all__ += events.__all__
+__all__ += policy.__all__
+__all__ += dsl.__all__
+__all__ += enforcement.__all__
+__all__ += oracle.__all__
+__all__ += simulator.__all__

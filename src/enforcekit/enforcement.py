@@ -9,8 +9,9 @@ the module that inserted them, and the total insertion depth is bounded.
 The modules (their flags and instances) are the only mutable state in the
 toolkit; they are single-owner and not thread safe. ``ProactiveModule.step``
 is the only code that routes an event to instances and combines their
-outputs, and ``ProactiveModule._add`` the only one that creates an instance
-and indexes its key. Events, traces and the registry stay immutable.
+outputs, ``ProactiveModule._add`` the only one that creates an instance
+and indexes its key, and ``ModuleRegistry.set_active`` the only writer of
+a flag. Events, traces and the registry stay immutable.
 """
 
 from __future__ import annotations
@@ -132,15 +133,17 @@ def _instantiate_template(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProactiveModule:
     """A policy wired into the pipeline with an activation flag.
 
-    Under per-binder instancing the module also keeps each component's
-    live instance keys in ascending order, so a broadcast reads its
-    component's keys instead of scanning every live one. :meth:`_add` is
-    the only code that creates an instance and indexes its key, for
-    :meth:`step` and :meth:`_restore`; ``instances`` is a read-only view.
+    The fields are frozen: :meth:`ModuleRegistry.set_active` is the only
+    writer of ``active``. Under per-binder instancing the module also keeps
+    each component's live instance keys in ascending order, so a broadcast
+    reads its component's keys instead of scanning every live one.
+    :meth:`_add` is the only code that creates an instance and indexes its
+    key, for :meth:`step` and :meth:`_restore`; ``instances`` is a
+    read-only view.
     """
 
     policy: PolicySpec
@@ -343,7 +346,7 @@ class ModuleRegistry:
         module = self.module(name)
         if active and not module.active:
             module.reset()
-        module.active = active
+        object.__setattr__(module, "active", active)
 
     def reset(self) -> None:
         """Drop all instances of all modules (activation flags are kept)."""

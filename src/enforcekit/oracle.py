@@ -39,7 +39,6 @@ from .policy import (
 )
 
 __all__ = [
-    "MonitorAutomaton",
     "Violation",
     "EventUniverse",
     "Verdict",

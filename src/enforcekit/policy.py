@@ -32,6 +32,7 @@ __all__ = [
     "EventPattern",
     "InputRef",
     "INPUT",
+    "PASS",
     "SynthEvent",
     "OutputTemplate",
     "Transition",

@@ -72,10 +72,12 @@ class ScenarioError(RuntimeError):
         self.step = step
 
 
-_BUILTIN_LIFECYCLES = {
+# The built-in models, each with its curated inactive states: those in
+# which holding an exclusive resource counts as a leak.
+_INACTIVE_STATES = {
     # An initial pseudo-state precedes "created" so that onCreate is a real
     # transition and cannot fire twice in a row.
-    "activity": LifecycleModel(
+    LifecycleModel(
         name="activity",
         states=frozenset({"initial", "created", "resumed", "paused", "destroyed"}),
         initial="initial",
@@ -88,8 +90,8 @@ _BUILTIN_LIFECYCLES = {
                 ("paused", "onDestroy", "destroyed"),
             }
         ),
-    ),
-    "osgi-bundle": LifecycleModel(
+    ): frozenset({"paused", "destroyed"}),
+    LifecycleModel(
         name="osgi-bundle",
         states=frozenset({"installed", "started", "stopped"}),
         initial="installed",
@@ -100,8 +102,8 @@ _BUILTIN_LIFECYCLES = {
                 ("stopped", "start", "started"),
             }
         ),
-    ),
-    "react-component": LifecycleModel(
+    ): frozenset({"stopped"}),
+    LifecycleModel(
         name="react-component",
         states=frozenset({"unmounted", "mounted"}),
         initial="unmounted",
@@ -111,15 +113,9 @@ _BUILTIN_LIFECYCLES = {
                 ("mounted", "componentWillUnmount", "unmounted"),
             }
         ),
-    ),
+    ): frozenset({"unmounted"}),
 }
-
-# States in which holding an exclusive resource counts as a leak.
-_INACTIVE_STATES = {
-    "activity": frozenset({"paused", "destroyed"}),
-    "osgi-bundle": frozenset({"stopped"}),
-    "react-component": frozenset({"unmounted"}),
-}
+_BUILTIN_LIFECYCLES = {model.name: model for model in _INACTIVE_STATES}
 
 
 def builtin_lifecycle(name: str) -> LifecycleModel:
@@ -136,10 +132,11 @@ def builtin_lifecycle(name: str) -> LifecycleModel:
 def inactive_states(model: LifecycleModel) -> frozenset[str]:
     """Suspended/terminal states of a model; leaks are checked on entry.
 
-    Built-in models have curated sets; for custom models the terminal
-    states (no outgoing transitions) are used.
+    A built-in model has a curated set; any other model, even one that
+    shares a built-in's name, uses its terminal states (no outgoing
+    transitions).
     """
-    curated = _INACTIVE_STATES.get(model.name)
+    curated = _INACTIVE_STATES.get(model)
     if curated is not None:
         return curated
     sources = {source for source, _cb, _target in model.transitions}
@@ -300,6 +297,15 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             raise ValueError(f"undeclared component {component!r}")
         return component
 
+    def refuse_bad_component() -> None:
+        # Scenario checks the components once, after the last line, so on
+        # any error report a bad component first, at the line declaring it.
+        try:
+            Scenario(name, lifecycle, tuple(components))  # type: ignore[arg-type]
+        except ValueError as err:
+            lineno = next(n for c, n in components.items() if not _IDENT_RE.fullmatch(c))
+            raise ScenarioParseError(str(err), lineno) from err
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -346,16 +352,17 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
             else:
                 raise ValueError(f"unknown directive {directive!r}")
         except (ValueError, UnknownLifecycleError) as err:
+            refuse_bad_component()
             raise ScenarioParseError(str(err), lineno) from err
     if lifecycle is None:
         raise ScenarioParseError("missing 'lifecycle <model>' declaration", 1)
     try:
         return Scenario(name, lifecycle, tuple(components), tuple(steps))
-    except ValueError as err:
+    except ValueError:
         # Steps were built, and refused, at their own lines, so what is left
-        # to refuse is a component: report the first bad one where declared.
-        lineno = next(n for c, n in components.items() if not _IDENT_RE.fullmatch(c))
-        raise ScenarioParseError(str(err), lineno) from err
+        # to refuse is a component.
+        refuse_bad_component()
+        raise
 
 
 class _ResourceState:

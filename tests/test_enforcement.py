@@ -389,6 +389,17 @@ class TestActivation:
         with pytest.raises(TypeError, match="'active' must be a bool"):
             ProactiveModule(CAMERA, active=active)
 
+    @pytest.mark.parametrize("field, value", [("active", "no"), ("policy", OSGI), ("priority", 3)])
+    def test_module_fields_cannot_be_reassigned(self, field, value):
+        registry = _registry(CAMERA)
+        module = registry.module("CameraRelease")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(module, field, value)
+        assert (module.active, module.policy, module.priority) == (True, CAMERA, 0)
+        trace = Trace.renumbered([Event.api("Camera.open", "A1"), Event.cb("onPause", "A1")])
+        out, _ = enforce_trace(registry, trace)
+        assert _literals(out) == ["api:Camera.open@A1", "!api:Camera.release@A1", "cb:onPause@A1"]
+
     def test_inactive_module_is_identity(self):
         registry = _registry(CAMERA)
         enforce_event(registry, Event.api("Camera.open", "A1", seq=1))

@@ -102,6 +102,13 @@ class TestLifecycleModels:
         )
         assert inactive_states(model) == {"done"}
 
+    def test_a_custom_model_with_a_builtin_name_uses_its_own_terminal_states(self):
+        model = LifecycleModel("activity", frozenset({"a", "b"}), "a", frozenset({("a", "go", "b")}))
+        assert inactive_states(model) == {"b"}
+        steps = (ApiCallStep("A1", "Camera.open"), LifecycleStep("A1", "go"))
+        _trace, report = run_scenario(Scenario("s", model, ("A1",), steps))
+        assert report.leaks == [LeakRecord("A1", "b", "Camera", None, 2)]
+
 
 class TestParseScenario:
     def test_full_directive_set(self):
@@ -152,6 +159,16 @@ class TestParseScenario:
                 "duplicate 'lifecycle' directive",
             ),
             ("scenario one\nlifecycle activity\nscenario two\n", 3, "duplicate 'scenario' directive"),
+            (
+                "lifecycle activity\ncomponent A!1\ncall A!1 Camera.open\ncall A!1 bad!\n",
+                2,
+                "component 'A!1' must be",
+            ),
+            (
+                "lifecycle activity\ncomponent A!1\ncall A!1 Camera.open\nwarp\n",
+                2,
+                "component 'A!1' must be",
+            ),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, line, fragment):
