@@ -126,6 +126,11 @@ def _depth_limit(args: argparse.Namespace) -> int:
 
 def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
     policies = [_load(path, PolicySpec) for path in args.policy]
+    names = [policy.name for policy in policies]
+    for i, name in enumerate(names):
+        if names.index(name) < i:
+            first = args.policy[names.index(name)]
+            raise _CliError(f"{args.policy[i]}: policy {name} is already loaded from {first}")
     registry = ModuleRegistry.from_policies(policies, insert_depth_limit=_depth_limit(args))
     for name in args.deactivate:
         try:

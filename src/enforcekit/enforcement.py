@@ -9,14 +9,13 @@ the module that inserted them, and the total insertion depth is bounded.
 The modules (their flags and instances) are the only mutable state in the
 toolkit; they are single-owner and not thread safe. ``ProactiveModule.step``
 is the only code that routes an event to instances and combines their
-outputs, ``ProactiveModule._add`` the only one that creates an instance
-and indexes its key, and ``ModuleRegistry.set_active`` the only writer of
-a flag. Events, traces and the registry stay immutable.
+outputs, ``ProactiveModule._add`` the only one that creates an instance,
+``AutomatonInstance.step`` the only writer of its state and ``set_active``
+the only writer of a flag. Events, traces and the registry stay immutable.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -70,7 +69,8 @@ class AutomatonInstance:
     to this instance and from the patterns of the transitions it takes, so
     broadcast events (which carry no binder themselves) can still
     synthesize events that mention the bound value. The transition
-    table is the policy's, built once for all its instances.
+    table is the policy's, built once for all its instances. Only
+    :meth:`step` writes ``current``, once its output is built.
     """
 
     policy: PolicySpec
@@ -96,9 +96,10 @@ class AutomatonInstance:
         bound = chosen.pattern.binder()
         if bound is not None and bound[0] in event.attrs:
             self.bindings[bound[1]] = event.attrs[bound[0]]
-        self.current = chosen.target
         assert chosen.output is not None
-        return _instantiate_template(chosen.output.items, event, self.bindings)
+        outputs = _instantiate_template(chosen.output.items, event, self.bindings)
+        self.current = chosen.target
+        return outputs
 
 
 def _instantiate_template(
@@ -138,11 +139,12 @@ class ProactiveModule:
     """A policy wired into the pipeline with an activation flag.
 
     The fields are frozen: :meth:`ModuleRegistry.set_active` is the only
-    writer of ``active``. Under per-binder instancing the module also keeps
-    each component's live instance keys in ascending order, so a broadcast
-    reads its component's keys instead of scanning every live one.
-    :meth:`_add` is the only code that creates an instance and indexes its
-    key, for :meth:`step` and :meth:`_restore`; ``instances`` is a
+    writer of ``active``. Under per-binder instancing the module also
+    indexes, per component and unordered, the keys of live instances in
+    the policy's broadcast-reactive states, the only ones a broadcast
+    visits; :meth:`PolicySpec.route` orders them. :meth:`_add` is the only
+    code that creates an instance; it and :meth:`step`, on a change of
+    state, write the index through :meth:`_index`. ``instances`` is a
     read-only view.
     """
 
@@ -150,7 +152,7 @@ class ProactiveModule:
     priority: int = 0
     active: bool = True
     _instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict, init=False)
-    _keys_by_component: dict[str, list[InstanceKey]] = field(
+    _keys_by_component: dict[str, dict[InstanceKey, None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -181,8 +183,8 @@ class ProactiveModule:
     def step(self, event: Event, pattern: EventPattern) -> list[Event]:
         """Step the instances a matching event addresses; return the module's output.
 
-        :meth:`PolicySpec.route` picks the keys from the live keys of the
-        event's component, which are all a broadcast can address; a
+        :meth:`PolicySpec.route` picks the keys from the indexed keys of the
+        event's component, which are all a broadcast can change; a
         missing instance starts at the initial state, and a broadcast
         creates none. The output is every instance's pre-input insertions,
         then the input itself unless some instance suppressed it, then
@@ -197,7 +199,10 @@ class ProactiveModule:
                 instance = self._add(key, self.policy.initial, {})
             if bindings:
                 instance.bindings.update(bindings)
+            state = instance.current
             outputs = instance.step(event)
+            if instance.current != state:
+                self._index(key, instance.current)
             if len(outputs) == 1 and outputs[0] is event:
                 continue  # passed unchanged
             for position, emitted in enumerate(outputs):
@@ -213,9 +218,17 @@ class ProactiveModule:
     def _add(self, key: InstanceKey, state: str, bindings: dict[str, str]) -> AutomatonInstance:
         """Create the instance at ``key`` and index its key."""
         instance = self._instances[key] = AutomatonInstance(self.policy, key, state, bindings)
-        if self.policy.instancing is Instancing.PER_BINDER:
-            insort(self._keys_by_component.setdefault(key[0], []), key)
+        self._index(key, state)
         return instance
+
+    def _index(self, key: InstanceKey, state: str) -> None:
+        """Index ``key`` if a broadcast can change its instance in ``state``."""
+        if self.policy.instancing is Instancing.PER_BINDER:
+            keys = self._keys_by_component.setdefault(key[0], {})
+            if state in self.policy._broadcast_states:
+                keys[key] = None
+            else:
+                keys.pop(key, None)
 
     def _snapshot(self) -> tuple[tuple[InstanceKey, str, dict[str, str]], ...]:
         """(key, state, bindings) of every live instance, for :meth:`_restore`.

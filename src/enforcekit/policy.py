@@ -83,10 +83,10 @@ class Binder:
 Constraint = Union[Literal, Binder]
 
 
-def _normalize_constraints(constraints) -> tuple[tuple[str, Constraint], ...]:
+def _normalize_constraints(constraints):
     items = tuple(sorted(constraints, key=lambda kv: kv[0]))
     seen: set[str] = set()
-    binders = 0
+    binders, literals = [], []
     for key, constraint in items:
         _check_ident(key, "pattern attribute key")
         if key in seen:
@@ -94,14 +94,15 @@ def _normalize_constraints(constraints) -> tuple[tuple[str, Constraint], ...]:
         seen.add(key)
         if isinstance(constraint, Binder):
             _check_ident(constraint.var, "binder name")
-            binders += 1
+            binders.append((key, constraint.var))
         elif isinstance(constraint, Literal):
             _check_ident(constraint.value, f"literal value for {key!r}")
+            literals.append((key, constraint.value))
         else:
             raise TypeError(f"bad constraint for {key!r}: {constraint!r}")
-    if binders > 1:
+    if len(binders) > 1:
         raise ValueError("at most one binder is allowed per pattern")
-    return items
+    return items, binders, tuple(literals)
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ class EventPattern:
     A literal constraint requires the attribute to be present with that
     value. A binder constraint does not restrict matching; it names the
     attribute whose value keys per-binder instances and feeds templates.
+    The binder and the literals are private attributes, not fields, so
+    equality, hashing and ``repr`` ignore them; ``replace`` rebuilds them.
 
     In an output template a pattern is the event a transition inserts: it
     takes the component of the triggering input, and its attribute values
@@ -124,22 +127,21 @@ class EventPattern:
     def __post_init__(self):
         _set_kind(self)
         _check_ident(self.name, "pattern name")
-        object.__setattr__(self, "constraints", _normalize_constraints(self.constraints))
+        constraints, binders, literals = _normalize_constraints(self.constraints)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "_binder", binders[0] if binders else None)
+        object.__setattr__(self, "_literals", literals)
 
     def binder(self) -> tuple[str, str] | None:
         """The (attribute key, binder var) pair, if this pattern has one."""
-        for key, constraint in self.constraints:
-            if isinstance(constraint, Binder):
-                return key, constraint.var
-        return None
+        return self._binder
 
     def matches(self, event: Event) -> bool:
         if event.kind is not self.kind or event.name != self.name:
             return False
-        for key, constraint in self.constraints:
-            if isinstance(constraint, Literal):
-                if event.attrs.get(key) != constraint.value:
-                    return False
+        for key, value in self._literals:
+            if event.attrs.get(key) != value:
+                return False
         return True
 
     def text(self) -> str:
@@ -336,9 +338,10 @@ class _KeyedSpec:
         the attribute the pattern's binder names. Under per-binder
         instancing a binder-free pattern broadcasts: it addresses the keys
         in ``live`` that belong to the event's component, in ascending
-        order, and creates none, so ``live`` may hold every live key or
-        just the component's. The binding maps the pattern's binder
-        variable to the event's value, when the event carries one.
+        order, and creates none. ``live`` may be every live key or a
+        module's unordered index (see :class:`ProactiveModule`); this sort
+        is the one ordering of a broadcast. The binding maps the pattern's
+        binder variable to the event's value, when the event carries one.
 
         Missing binder attribute: an event that matches a binder pattern
         under per-binder instancing but lacks the bound attribute cannot be
@@ -374,11 +377,21 @@ class PolicySpec(_KeyedSpec):
     """A named, instantiable enforcement policy: a finite edit automaton.
 
     Every transition carries an output template. ``default`` applies to
-    alphabet events with no matching transition.
+    alphabet events with no matching transition. A broadcast can edit or
+    change state only in the broadcast-reactive states, a private
+    attribute: every state under default suppress, else the sources of
+    transitions on the (kind, name) of a binder-free alphabet pattern.
     """
 
     kind: ClassVar[str] = "policy"
     default: DefaultAction = DefaultAction.ALLOW
+
+    def __post_init__(self):
+        super().__post_init__()
+        free = {(p.kind, p.name) for p in self.alphabet if p.binder() is None}
+        reactive = self.states if self.default is DefaultAction.SUPPRESS else [
+            state for state, kind, name in self._by_state if (kind, name) in free]
+        object.__setattr__(self, "_broadcast_states", frozenset(reactive))
 
     def _check_kind(self, states, transitions):
         for t in transitions:
@@ -425,8 +438,7 @@ def patterns_overlap(a: EventPattern, b: EventPattern) -> bool:
     """
     if a.kind is not b.kind or a.name != b.name:
         return False
-    lits_a = {k: c.value for k, c in a.constraints if isinstance(c, Literal)}
-    lits_b = {k: c.value for k, c in b.constraints if isinstance(c, Literal)}
+    lits_a, lits_b = dict(a._literals), dict(b._literals)
     return all(lits_a[k] == lits_b[k] for k in lits_a.keys() & lits_b.keys())
 
 

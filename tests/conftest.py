@@ -79,7 +79,10 @@ def camera_universe_len3() -> EventUniverse:
 # Random well-formed policies and monitors, built programmatically. Each
 # draws its patterns from one of two alphabets: plain patterns, or
 # patterns that bind a resource id, where the binder-free ``cb stop``
-# broadcasts under per-binder instancing.
+# broadcasts under per-binder instancing. A third alphabet, which only
+# some tests draw from, declares a binder-free ``api release`` before
+# ``api release{res=$r}``: every release matches the first and broadcasts,
+# and transitions on the second still fire on it and bind ``$r``.
 
 API = EventKind.API_CALL
 CB = EventKind.CALLBACK
@@ -91,6 +94,12 @@ PLAIN_PATTERNS = (
 )
 BINDER_PATTERNS = (
     EventPattern(API, "acquire", (("res", Binder("r")),)),
+    EventPattern(API, "release", (("res", Binder("r")),)),
+    EventPattern(CB, "stop"),
+)
+SHADOWED_PATTERNS = (
+    EventPattern(API, "acquire", (("res", Binder("r")),)),
+    EventPattern(API, "release"),
     EventPattern(API, "release", (("res", Binder("r")),)),
     EventPattern(CB, "stop"),
 )
@@ -110,15 +119,16 @@ _OUTPUTS = {
         OutputTemplate((INPUT, SynthEvent(CB, "stop"))),
     ],
 }
+_OUTPUTS[SHADOWED_PATTERNS] = _OUTPUTS[BINDER_PATTERNS]
 _state_names = st.lists(
     st.sampled_from(["S0", "S1", "S2", "S3"]), min_size=1, max_size=4, unique=True
 )
 
 
 def _keying(draw, patterns) -> dict:
-    """Instancing and binder attribute; only the binder alphabet can key per binder."""
+    """Instancing and binder attribute; only the binder alphabets can key per binder."""
     modes = [Instancing.SINGLETON, Instancing.PER_COMPONENT]
-    if patterns is BINDER_PATTERNS:
+    if patterns is not PLAIN_PATTERNS:
         modes.append(Instancing.PER_BINDER)
     instancing = draw(st.sampled_from(modes))
     binder_attr = "res" if instancing is Instancing.PER_BINDER else None

@@ -537,6 +537,21 @@ def test_non_utf8_input_is_unreadable(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("command", ["enforce", "simulate"])
+def test_a_policy_loaded_twice_is_unusable_input(capsys, tmp_path, command):
+    copy = tmp_path / "copy.policy"
+    copy.write_text(Path(CAMERA_POLICY).read_text())
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    target = str(empty) if command == "enforce" else PLUMERIA
+    code, out, err = _run(capsys, command, "-p", CAMERA_POLICY, "-p", str(copy), target)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {copy}: policy CameraRelease is already loaded from {CAMERA_POLICY}\n"
+    )
+
+
 # Exit codes of the README table, per subcommand.
 DOCUMENTED_EXITS = {
     "check": {0, 1, 2},

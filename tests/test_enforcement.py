@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import enforcekit
 from enforcekit import (
+    DefaultAction,
     DispatchError,
     EnforcementError,
     Event,
@@ -39,7 +40,7 @@ from enforcekit.enforcement import (
     ModuleCounts,
 )
 
-from conftest import BINDER_PATTERNS, CATALOG, PLAIN_PATTERNS, policies
+from conftest import BINDER_PATTERNS, CATALOG, PLAIN_PATTERNS, SHADOWED_PATTERNS, policies
 
 API = EventKind.API_CALL
 CB = EventKind.CALLBACK
@@ -648,22 +649,33 @@ def test_report_accounts_for_every_length_change(events):
     assert len(report.records) == total.inserted + total.suppressed
 
 
-def _sorted_scan(module, component: str) -> list:
-    """A broadcast's keys as routing found them before the per-component
-    index: every live key scanned, the component's kept and sorted."""
-    return sorted(key for key in module.instances if key[0] == component)
+def _broadcast_reactive(spec: PolicySpec) -> set[str]:
+    """States in which a binder-free broadcast can change an instance."""
+    if spec.default is DefaultAction.SUPPRESS:
+        return set(spec.states)
+    free = {(p.kind, p.name) for p in spec.alphabet if not p.binder()}
+    return {t.source for t in spec.transitions if (t.pattern.kind, t.pattern.name) in free}
 
 
+@pytest.mark.parametrize("default", list(DefaultAction))
 @given(
-    st.lists(
+    ops=st.lists(
         st.one_of(_bundle_events(), st.sampled_from(["reset", "off", "on", "save", "restore"])),
         max_size=24,
     )
 )
-def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
-    registry = _registry(CAMERA, OSGI)
+def test_broadcast_index_holds_the_live_keys_in_reactive_states(default, ops):
+    registry = _registry(CAMERA, dataclasses.replace(OSGI, default=default))
     module = registry.module("OsgiUnregister")
     spec = module.policy
+    reactive = _broadcast_reactive(spec)
+
+    def check_index():
+        for component in ("B1", "B2"):
+            instances = module.instances.items()
+            expected = {k for k, i in instances if k[0] == component and i.current in reactive}
+            assert set(module._keys_by_component.get(component, ())) == expected
+
     saved = module._snapshot()
     for seq, op in enumerate(ops, 1):
         if op == "reset":
@@ -676,20 +688,30 @@ def test_broadcast_index_matches_a_sorted_scan_of_every_live_key(ops):
         elif op == "restore":
             module._restore(saved)
         else:
-            event = dataclasses.replace(op, seq=seq)
-            if event.name == "stop":
-                pattern = spec.match(event)
-                expected = _sorted_scan(module, event.component)
-                indexed = module._keys_by_component.get(event.component, ())
-                assert spec.route(event, pattern, indexed)[0] == expected
-                assert spec.route(event, pattern, module.instances)[0] == expected
-            enforce_event(registry, event)
-        for component in ("B1", "B2"):
-            indexed = module._keys_by_component.get(component, [])
-            assert indexed == _sorted_scan(module, component)
+            enforce_event(registry, dataclasses.replace(op, seq=seq))
+        check_index()
     module._restore(module._snapshot())  # as the verify walk does at each node
-    for component in ("B1", "B2"):
-        assert module._keys_by_component.get(component, []) == _sorted_scan(module, component)
+    check_index()
+
+
+def test_a_step_whose_template_fails_keeps_its_state_and_index():
+    policy = parse_policy(
+        "policy Trip\n"
+        "instantiate per-binder res\n"
+        "alphabet api arm{res=$r}, cb stop\n"
+        "initial IDLE\n"
+        "state IDLE:\n"
+        "  on api arm{res=$r} -> ARMED emit [api note{tag=$t}, $in]\n"
+        "state ARMED:\n"
+        "  on cb stop -> IDLE emit [api disarm{res=$r}, $in]\n"
+        "end\n"
+    )
+    registry = _registry(policy)
+    with pytest.raises(EnforcementError, match=r"unbound binder '\$t'"):
+        enforce_event(registry, Event.api("arm", "C1", seq=1, res="r1"))
+    assert registry.module("Trip").instances[("C1", "r1")].current == "IDLE"
+    stop = Event.cb("stop", "C1", seq=2)
+    assert enforce_event(registry, stop) == [stop]
 
 
 # The stack as it was written before module steps returned one emitted
@@ -823,7 +845,9 @@ def _edits_from_the_start(policy: PolicySpec) -> bool:
 # Draws lean towards insertion chains, where the depth limit matters: most
 # stacks share one alphabet, every policy can insert from its initial
 # state, and a module is off one time in four.
-_STACKS = st.sampled_from([PLAIN_PATTERNS, BINDER_PATTERNS, None]).flatmap(
+_STACKS = st.sampled_from(
+    [PLAIN_PATTERNS, BINDER_PATTERNS, SHADOWED_PATTERNS, None]
+).flatmap(
     lambda patterns: st.lists(
         policies(patterns).filter(_edits_from_the_start), min_size=1, max_size=3
     )

@@ -1,5 +1,7 @@
 """Policy model: patterns, templates, automata, and static validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,9 +24,10 @@ from enforcekit import (
     Transition,
     validate_policy,
 )
+from enforcekit.enforcement import AutomatonInstance
 from enforcekit.policy import patterns_overlap
 
-from conftest import BINDER_PATTERNS, PLAIN_PATTERNS, monitors, policies
+from conftest import BINDER_PATTERNS, PLAIN_PATTERNS, SHADOWED_PATTERNS, monitors, policies
 
 
 def pat(kind: EventKind, name: str, **constraints) -> EventPattern:
@@ -93,6 +96,42 @@ class TestEventPattern:
             "api registerService{service=$s}"
         )
         assert pat(CB, "onPause").text() == "cb onPause"
+
+
+def _scan_binder(pattern: EventPattern):
+    for key, constraint in pattern.constraints:
+        if isinstance(constraint, Binder):
+            return key, constraint.var
+    return None
+
+
+def _scan_literals(pattern: EventPattern):
+    return tuple((k, c.value) for k, c in pattern.constraints if isinstance(c, Literal))
+
+
+_CONSTRAINTS = st.dictionaries(
+    st.sampled_from(["a", "b", "res"]),
+    st.one_of(
+        st.builds(Literal, st.sampled_from(["v1", "v2"])),
+        st.builds(Binder, st.sampled_from(["x", "y"])),
+    ),
+    max_size=3,
+).filter(lambda c: sum(isinstance(v, Binder) for v in c.values()) <= 1)
+
+
+@given(st.sampled_from(list(EventKind)), _CONSTRAINTS, _CONSTRAINTS)
+def test_pattern_binder_and_literals_agree_with_a_scan(kind, constraints, others):
+    pattern = EventPattern(kind, "op", tuple(constraints.items()))
+    assert pattern.binder() == _scan_binder(pattern)
+    assert pattern._literals == _scan_literals(pattern)
+    # Neither is a field: replace rebuilds both, and equality, hashing and
+    # repr see only the constraints.
+    other = dataclasses.replace(pattern, constraints=tuple(others.items()))
+    assert other.binder() == _scan_binder(other)
+    assert other._literals == _scan_literals(other)
+    same = EventPattern(kind, "op", tuple(reversed(constraints.items())))
+    assert same == pattern and hash(same) == hash(pattern)
+    assert "_literals" not in repr(pattern) and "_binder" not in repr(pattern)
 
 
 class TestOutputTemplate:
@@ -395,6 +434,20 @@ def test_indexes_agree_with_a_linear_scan(spec):
             scan = (t for t in spec.transitions if t.source == state)
             first = next((t for t in scan if t.pattern.matches(event)), None)
             assert spec.transition(state, event) is first
+
+
+@given(st.one_of(policies(), policies(SHADOWED_PATTERNS)))
+def test_a_broadcast_leaves_states_outside_the_reactive_set_alone(spec):
+    # Broadcasts skip instances in these states, so stepping one must pass
+    # the event and keep its state and bindings.
+    for event in _SCAN_EVENTS:
+        pattern = spec.match(event)
+        if pattern is None or pattern.binder() is not None:
+            continue
+        for state in set(spec.states) - spec._broadcast_states:
+            instance = AutomatonInstance(spec, (event.component, "R1"), state)
+            assert instance.step(event) == [event]
+            assert (instance.current, instance.bindings) == (state, {})
 
 
 # --- soundness of the determinism check ---------------------------------
