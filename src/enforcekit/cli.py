@@ -240,7 +240,7 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     records: list[Record] = [
         ("module", {"name": name, **asdict(counts)}) for name, counts in report.counts.items()
     ]
-    records += [("edit", asdict(record)) for record in report.records]
+    records += [("edit", dict(vars(record))) for record in report.records]  # flat: no asdict
     records.append(("total", {**asdict(report.total), "delta": report.delta}))
     _render(records, args, sys.stdout if args.out else sys.stderr)
     return EXIT_OK

@@ -22,13 +22,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .events import Event, EventKind, Trace, _Attrs, _trusted
 from .policy import (
+    _ALLOW,
+    _PER_BINDER,
     Binder,
-    DefaultAction,
     DispatchError,
     EventPattern,
     InputRef,
     InstanceKey,
-    Instancing,
     PolicySpec,
 )
 
@@ -90,7 +90,7 @@ class AutomatonInstance:
         """
         chosen = self._transition(self.current, event)
         if chosen is None:
-            if self.policy.default is DefaultAction.ALLOW:
+            if self.policy.default is _ALLOW:
                 return [event]
             return []
         bound = chosen.pattern.binder()
@@ -223,7 +223,7 @@ class ProactiveModule:
 
     def _index(self, key: InstanceKey, state: str) -> None:
         """Index ``key`` if a broadcast can change its instance in ``state``."""
-        if self.policy.instancing is Instancing.PER_BINDER:
+        if self.policy.instancing is _PER_BINDER:
             keys = self._keys_by_component.setdefault(key[0], {})
             if state in self.policy._broadcast_states:
                 keys[key] = None
@@ -374,6 +374,9 @@ def _account(
     counts = report.counts.get(name)
     if counts is None:
         counts = report.counts[name] = ModuleCounts()
+    if len(emitted) == 1 and emitted[0] is event:
+        counts.passed += 1
+        return
     inserted = [e for e in emitted if e is not event]
     counts.inserted += len(inserted)
     if len(inserted) < len(emitted):

@@ -2,7 +2,8 @@
 
 Everything else in the toolkit is built on the types in this module. All
 values are immutable and all operations are pure functions, so they can be
-shared freely between threads.
+shared freely between threads. Events and traces have no instance
+``__dict__``: their fields are slots, which ``vars()`` cannot reach.
 
 An event's fields are checked once, where it enters the program: by
 :class:`Event` itself (and so by ``Event.cb``, ``Event.api`` and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -50,6 +51,16 @@ class EventKind(str, Enum):
 
     CALLBACK = "cb"  # lifecycle callback invoked by the framework
     API_CALL = "api"  # call into a library operation
+
+
+def _frozen(cls):
+    """``dataclass(frozen=True, slots=True)`` whose every attribute write raises
+    ``FrozenInstanceError``; CPython 3.11's own raises ``TypeError`` for a non-field."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
 
 
 class _PositionedError(ValueError):
@@ -113,7 +124,7 @@ class _Attrs(dict):
 _NO_ATTRS = _Attrs()  # read-only, so every attribute-less event can share it
 
 
-@dataclass(frozen=True)
+@_frozen
 class Event:
     """One intercepted occurrence: a lifecycle callback or an API call.
 
@@ -123,7 +134,8 @@ class Event:
     serialized sorted by key, so two events that differ only in attribute
     insertion order compare and serialize identically. The event keeps a
     read-only copy of ``attrs``, so the caller's dict can change afterwards
-    without changing the event.
+    without changing the event. It has no instance ``__dict__``: its fields
+    are slots, and no attribute can be set or added after construction.
     """
 
     kind: EventKind
@@ -168,7 +180,7 @@ class Event:
         trace line form would be ambiguous.
         """
         bang = "!" if self.synthetic else ""
-        body = f"{bang}{self.kind.value}:{self.name}@{self.component}"
+        body = f"{bang}{_KIND_TEXT[self.kind]}:{self.name}@{self.component}"
         if self.attrs:
             pairs = ",".join(f"{k}={self.attrs[k]}" for k in sorted(self.attrs))
             body += "{" + pairs + "}"
@@ -176,7 +188,9 @@ class Event:
 
 
 _new_event = object.__new__
-_set_field = object.__setattr__
+# Each field's slot setter: a direct write, cheaper than object.__setattr__.
+_put_kind, _put_name, _put_component, _put_seq, _put_synthetic, _put_attrs = (
+    vars(Event)[f].__set__ for f in ("kind", "name", "component", "seq", "synthetic", "attrs"))
 
 
 def _trusted(
@@ -184,17 +198,17 @@ def _trusted(
 ) -> Event:
     """An :class:`Event` from fields that were validated already, unchecked.
 
-    ``attrs`` must already be an ``_Attrs``. The fields are set as the
-    dataclass's own ``__init__`` sets them, so the event cannot be told
+    ``attrs`` must already be an ``_Attrs``. The fields fill the same slots
+    as the dataclass's own ``__init__`` fills, so the event cannot be told
     from a validated one.
     """
     event = _new_event(Event)
-    _set_field(event, "kind", kind)
-    _set_field(event, "name", name)
-    _set_field(event, "component", component)
-    _set_field(event, "seq", seq)
-    _set_field(event, "synthetic", synthetic)
-    _set_field(event, "attrs", attrs)
+    _put_kind(event, kind)
+    _put_name(event, name)
+    _put_component(event, component)
+    _put_seq(event, seq)
+    _put_synthetic(event, synthetic)
+    _put_attrs(event, attrs)
     return event
 
 
@@ -233,7 +247,7 @@ def parse_event_literal(text: str) -> Event:
         raise ValueError(f"bad event literal {original!r}: {err}") from err
 
 
-@dataclass(frozen=True)
+@_frozen
 class Trace:
     """A finite, totally ordered sequence of events with increasing seq."""
 
@@ -265,15 +279,15 @@ class Trace:
 
         An event already numbered by its position is kept, not copied.
         """
-        return Trace(
-            tuple(
-                e if e.seq == i else _trusted(e.kind, e.name, e.component, i, e.synthetic, e.attrs)
-                for i, e in enumerate(events, 1)
-            )
-        )
+        trusted = _trusted
+        return Trace(tuple([
+            e if e.seq == i else trusted(e.kind, e.name, e.component, i, e.synthetic, e.attrs)
+            for i, e in enumerate(events, 1)
+        ]))
 
 
 _KINDS = {kind.value: kind for kind in EventKind}
+_KIND_TEXT = {kind: text for text, kind in _KINDS.items()}  # kind.value is slow on 3.11
 # A whole valid trace line from the seq on: this one match checks every field.
 _LINE_RE = re.compile(
     f"([0-9]+) (!?)(cb|api):({_IDENT_CHAR}+)@({_IDENT_CHAR}+)"
@@ -389,10 +403,9 @@ def parse_trace(text: str) -> Trace:
 
 def _format_trace_line(event: Event) -> str:
     bang = "!" if event.synthetic else ""
-    parts = [f"{event.seq} {bang}{event.kind.value}:{event.name}@{event.component}"]
-    for key in sorted(event.attrs):
-        parts.append(f"{key}={event.attrs[key]}")
-    return " ".join(parts)
+    line = f"{event.seq} {bang}{_KIND_TEXT[event.kind]}:{event.name}@{event.component}"
+    attrs = event.attrs
+    return " ".join([line, *(f"{k}={attrs[k]}" for k in sorted(attrs))]) if attrs else line
 
 
 def serialize_trace(trace: Trace) -> str:

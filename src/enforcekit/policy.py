@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Iterable, Union
 
-from .events import Event, EventKind, _check_ident, _set_kind
+from .events import _KIND_TEXT, Event, EventKind, _check_ident, _set_kind
 
 __all__ = [
     "Severity",
@@ -146,7 +146,7 @@ class EventPattern:
 
     def text(self) -> str:
         """Concrete syntax, e.g. ``api registerService{service=$s}``."""
-        body = f"{self.kind.value} {self.name}"
+        body = f"{_KIND_TEXT[self.kind]} {self.name}"
         if self.constraints:
             inner = ", ".join(
                 f"{k}=${c.var}" if isinstance(c, Binder) else f"{k}={c.value}"
@@ -230,6 +230,10 @@ class Instancing(Enum):
 
 
 InstanceKey = tuple[str, ...]
+
+# Members read on every step, bound once: a class-level enum read is slow on CPython 3.11.
+_ALLOW, _PER_BINDER = DefaultAction.ALLOW, Instancing.PER_BINDER
+_SINGLETON, _PER_COMPONENT = Instancing.SINGLETON, Instancing.PER_COMPONENT
 
 
 @dataclass(frozen=True)
@@ -350,21 +354,22 @@ class _KeyedSpec:
         ``enforce_trace`` fails with an ``EnforcementError`` that carries
         the event's seq.
         """
-        bound = pattern.binder()
+        bound = pattern._binder
+        instancing = self.instancing
         bindings: dict[str, str] = {}
         if bound is not None:
             attr, var = bound
             value = event.attrs.get(attr)
             if value is not None:
                 bindings[var] = value
-            elif self.instancing is Instancing.PER_BINDER:
+            elif instancing is _PER_BINDER:
                 raise DispatchError(
                     f"event {event.literal()} matches pattern '{pattern.text()}' "
                     f"but lacks binder attribute {attr!r}"
                 )
-        if self.instancing is Instancing.SINGLETON:
+        if instancing is _SINGLETON:
             return [()], bindings
-        if self.instancing is Instancing.PER_COMPONENT:
+        if instancing is _PER_COMPONENT:
             return [(event.component,)], bindings
         if bound is None:
             component = event.component

@@ -32,6 +32,9 @@ from .events import (
 )
 from .policy import DispatchError
 
+# Bound once: a class-level enum member read is slow on CPython 3.11.
+_API_CALL, _CALLBACK = EventKind.API_CALL, EventKind.CALLBACK
+
 __all__ = [
     "UnknownLifecycleError",
     "ScenarioParseError",
@@ -390,7 +393,7 @@ class _ResourceState:
         self, event: Event, step_no: int, seq: int, denied: list[DeniedAcquire]
     ) -> None:
         """Update holdings for one (possibly synthesized) emitted event."""
-        if event.kind is not EventKind.API_CALL:
+        if event.kind is not _API_CALL:
             return
         resource = self.by_acquire.get(event.name)
         if resource is not None:
@@ -469,7 +472,7 @@ def run_scenario(
                     step_no,
                 )
             process(
-                _trusted(EventKind.CALLBACK, step.callback, step.component, seq, False, _NO_ATTRS),
+                _trusted(_CALLBACK, step.callback, step.component, seq, False, _NO_ATTRS),
                 step_no,
             )
             lifecycle_state[step.component] = target
@@ -480,7 +483,7 @@ def run_scenario(
                     )
         else:
             process(
-                _trusted(EventKind.API_CALL, step.name, step.component, seq, False, step.attrs),
+                _trusted(_API_CALL, step.name, step.component, seq, False, step.attrs),
                 step_no,
             )
     return Trace.renumbered(emitted), report

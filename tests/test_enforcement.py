@@ -38,6 +38,7 @@ from enforcekit.enforcement import (
     EditRecord,
     EnforcementReport,
     ModuleCounts,
+    _account,
 )
 
 from conftest import BINDER_PATTERNS, CATALOG, PLAIN_PATTERNS, SHADOWED_PATTERNS, policies
@@ -647,6 +648,23 @@ def test_report_accounts_for_every_length_change(events):
     assert len(out.events) - len(trace.events) == report.delta
     total = report.total
     assert len(report.records) == total.inserted + total.suppressed
+
+
+def test_a_passed_event_counts_one_pass_and_no_record():
+    registry = _registry(CAMERA)
+    module = registry.modules[0]
+    event = Event.api("Camera.open", "A1", 1)
+    emitted = module.step(event, module.policy.match(event))
+    assert len(emitted) == 1 and emitted[0] is event
+    report = EnforcementReport.for_registry(registry)
+    _account(report, module.name, event, emitted, event.seq)
+    assert report.counts == {module.name: ModuleCounts(passed=1)}
+    assert report.records == []
+    assert enforce_event(registry, Event.api("Camera.open", "A2", 2), report) == [
+        Event.api("Camera.open", "A2", 2)
+    ]
+    assert report.counts == {module.name: ModuleCounts(passed=2)}
+    assert report.records == []
 
 
 def _broadcast_reactive(spec: PolicySpec) -> set[str]:

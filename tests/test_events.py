@@ -26,7 +26,7 @@ from enforcekit import (
     serialize_trace,
     validate_lifecycle,
 )
-from enforcekit.events import _Attrs
+from enforcekit.events import _Attrs, _trusted
 from enforcekit.oracle import _positioned
 from enforcekit.simulator import builtin_lifecycle
 
@@ -205,6 +205,49 @@ def test_events_are_hashable():
     assert len({first, second}) == 1
     assert first.attrs == {"a": "1", "b": "2"}
     assert {"b": "2", "a": "1"} == second.attrs
+
+
+_FROZEN_VALUES = {
+    "validated event": lambda: Event(EventKind.API_CALL, "open", "C1", 3, True, {"a": "1"}),
+    "trusted event": lambda: _trusted(
+        EventKind.API_CALL, "open", "C1", 3, True, _Attrs({"a": "1"})
+    ),
+    "parsed event": lambda: parse_trace("1 api:open@C1\n2 cb:stop@C1 a=1")[1],
+    "trace": lambda: parse_trace("1 api:open@C1 a=1\n2 !cb:stop@C1"),
+}
+
+
+@pytest.mark.parametrize("build", _FROZEN_VALUES.values(), ids=_FROZEN_VALUES)
+def test_events_and_traces_cannot_be_changed_after_construction(build):
+    value = build()
+    with pytest.raises(TypeError):
+        vars(value)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        del value.extra
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, field)
+    assert value == build()
+
+
+@pytest.mark.parametrize("build", _FROZEN_VALUES.values(), ids=_FROZEN_VALUES)
+def test_copies_of_events_and_traces_are_equal_and_hash_alike(build):
+    value = build()
+    copies = [
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+        dataclasses.replace(value),
+    ]
+    for copied in copies:
+        assert type(copied) is type(value)
+        assert copied == value
+        assert hash(copied) == hash(value)
+        assert repr(copied) == repr(value)
 
 
 def test_trace_rejects_decreasing_seq():
