@@ -186,6 +186,117 @@ class TestSemanticErrors:
             parse_policy(text)
 
 
+# One fault per document, each pinned to the token it is reported at: the
+# offending name, clause keyword or `on` token, or the document head for a
+# rule no single token breaks.
+_CLAUSES = "alphabet cb a\ninitial S\nstate S:\n"
+_FAULT_POSITIONS = [
+    pytest.param(
+        "policy P\ninitial S\nstate S:\nstate S:\nstate S:\nend\n",
+        PolicySemanticError, "duplicate state S", 4, 7, id="duplicate-state-reported-at-first-repeat",
+    ),
+    pytest.param(
+        "monitor M\ninitial S\nstate S:\nstate T:\nstate T error:\nend\n",
+        PolicySemanticError, "duplicate state T", 5, 7, id="monitor-duplicate-state",
+    ),
+    pytest.param(
+        "policy P\ninitial T\nstate S:\nend\n",
+        PolicySemanticError, "unknown state T", 2, 9, id="unknown-initial",
+    ),
+    pytest.param(
+        f"policy P\n{_CLAUSES}  on cb a -> X emit [$in]\nend\n",
+        PolicySemanticError, "unknown state X", 5, 3, id="unknown-target",
+    ),
+    pytest.param(
+        f"monitor M\n{_CLAUSES}state T:\n  on cb a -> X\nend\n",
+        PolicySemanticError, "unknown state X", 6, 3, id="monitor-unknown-target",
+    ),
+    pytest.param(
+        f"policy P\n{_CLAUSES}  on cb b -> S emit [$in]\n  on cb b -> S emit [$in]\nend\n",
+        PolicySemanticError, "pattern 'cb b' is not in the alphabet", 5, 3,
+        id="off-alphabet-reported-at-first-of-two-equal-lines",
+    ),
+    pytest.param(
+        f"monitor M\n{_CLAUSES}  on cb a -> S\n  on api b -> S\nend\n",
+        PolicySemanticError, "pattern 'api b' is not in the alphabet", 6, 3,
+        id="monitor-off-alphabet",
+    ),
+    pytest.param(
+        f"monitor M\n{_CLAUSES}  on cb a -> E\nstate E error:\n  on cb a -> S\nend\n",
+        PolicySemanticError, "error state E must not have outgoing transitions", 6, 7,
+        id="error-state-with-outgoing-transition",
+    ),
+    pytest.param(
+        "policy P\ninitial S\nend\n",
+        PolicyParseError, "policy declares no states", 4, 1, id="no-states",
+    ),
+    pytest.param(
+        "monitor M\nstate S:\nend\n",
+        PolicyParseError, "monitor has no initial state", 4, 1, id="no-initial",
+    ),
+    pytest.param(
+        "policy P\ninitial S\nstate S error:\nend\n",
+        PolicySemanticError, "error states are only allowed in monitors", 3, 9,
+        id="error-state-in-policy",
+    ),
+    pytest.param(
+        f"monitor M\n{_CLAUSES}  on cb a -> S emit [$in]\nend\n",
+        PolicySemanticError, "monitor transitions do not emit", 5, 16, id="emit-in-monitor",
+    ),
+    pytest.param(
+        "monitor M\ninitial S\nstate S:\ndefault allow\nend\n",
+        PolicySemanticError, "monitors have no default clause (unmatched events self-loop)",
+        4, 1, id="default-in-monitor",
+    ),
+    pytest.param(
+        "policy P\ninitial S\ninitial S\nstate S:\nend\n",
+        PolicySemanticError, "duplicate initial clause", 3, 1, id="duplicate-clause",
+    ),
+    pytest.param(
+        "policy P\nalphabet api a{k=$in}\ninitial S\nstate S:\nend\n",
+        PolicySemanticError, "'$in' cannot be used as a binder name", 2, 18, id="binder-named-in",
+    ),
+    pytest.param(
+        "policy P\nalphabet api a{j=$x, k=$y}\ninitial S\nstate S:\nend\n",
+        PolicySemanticError, "at most one binder is allowed per pattern", 2, 14,
+        id="two-binders-in-a-pattern",
+    ),
+    pytest.param(
+        "policy P\nalphabet api a{k=v, k=w}\ninitial S\nstate S:\nend\n",
+        PolicySemanticError, "duplicate attribute key 'k' in pattern", 2, 14,
+        id="duplicate-attribute-key",
+    ),
+    pytest.param(
+        f"policy P\n{_CLAUSES}  on cb a -> S emit [$in, $in]\nend\n",
+        PolicySemanticError, "the $in placeholder may appear at most once", 5, 30,
+        id="input-twice-in-a-template",
+    ),
+    pytest.param(
+        f"policy P\n{_CLAUSES}  on cb a -> S emit [$x]\nend\n",
+        PolicySemanticError, "expected '$in' or a synthesized event, got '$x'", 5, 22,
+        id="binder-in-a-template",
+    ),
+    pytest.param(
+        "# head on line 2\npolicy P\nalphabet api a, api a\ninitial S\nstate S:\nend\n",
+        PolicySemanticError, "duplicate alphabet pattern", 2, 1, id="duplicate-alphabet-pattern",
+    ),
+    pytest.param(
+        "# head on line 2\npolicy P\ninstantiate per-binder k\nalphabet api a{j=$x}\n"
+        "initial S\nstate S:\nend\n",
+        PolicySemanticError, "binder on attribute 'j' does not match per-binder key 'k'", 2, 1,
+        id="stray-binder-key",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, line, column", _FAULT_POSITIONS)
+def test_semantic_error_positions(text, cls, message, line, column):
+    with pytest.raises(cls) as exc:
+        parse_document(text)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"line {line}, column {column}: {message}", line, column)
+
+
 def test_parse_document_dispatches_on_leading_keyword(camera_policy):
     assert isinstance(parse_document(CAMERA_TEXT), PolicySpec)
     monitor_text = (CATALOG / "camera.monitor").read_text()

@@ -125,7 +125,8 @@ def test_event_literal_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["Camera.open@A1", "api:x", "api:x@", "api:x@A1{k}", "api:a@A1{x=1,x=2}"]
+    "bad",
+    ["Camera.open@A1", "api:x", "api:x@", "api:x@A1{k}", "api:a@A1{x=1,x=2}", "api:x@A1{k=v"],
 )
 def test_bad_event_literals_rejected(bad):
     with pytest.raises(ValueError):

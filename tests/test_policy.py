@@ -207,6 +207,34 @@ class TestAutomatonStructure:
         with pytest.raises(ValueError, match="per-binder"):
             _camera_spec(instancing=Instancing.PER_BINDER, binder_attr="service")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                dict(instancing=Instancing.PER_BINDER),
+                "per-binder instancing requires a binder attribute",
+            ),
+            (
+                dict(
+                    instancing=Instancing.PER_BINDER,
+                    binder_attr="k",
+                    transitions=(),
+                    alphabet=(pat(API, "a", j="$x"),),
+                ),
+                "binder on attribute 'j' does not match per-binder key 'k'",
+            ),
+            (
+                dict(binder_attr="service"),
+                "binder_attr is only meaningful with per-binder instancing",
+            ),
+        ],
+        ids=["per-binder-without-key", "stray-binder-key", "key-without-per-binder"],
+    )
+    def test_binder_key_rules(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            _camera_spec(**overrides)
+        assert str(exc.value) == message
+
 
 _A = pat(API, "a")
 # Specs with two faults each, and the one the constructor reports: it checks

@@ -511,6 +511,40 @@ def test_enforcement_never_leaves_leaks_in_shipped_scenarios(scenario_file, poli
             id="lifecycle-callback",
         ),
         pytest.param(
+            lambda: LifecycleModel("job", {"idle"}, "busy", set()),
+            "initial state 'busy' not in states",
+            ValueError,
+            id="lifecycle-initial",
+        ),
+        pytest.param(
+            lambda: LifecycleModel("job", {"idle"}, "idle", {("idle", "go", "busy")}),
+            r"transition \(idle, go, busy\) leaves declared states",
+            ValueError,
+            id="lifecycle-target",
+        ),
+        pytest.param(
+            lambda: LifecycleModel(
+                "job", {"idle", "busy"}, "idle", {("idle", "go", "busy"), ("idle", "go", "idle")}
+            ),
+            "nondeterministic lifecycle: two transitions from 'idle' on 'go'",
+            ValueError,
+            id="lifecycle-nondeterministic",
+        ),
+        pytest.param(
+            lambda: Scenario("s", builtin_lifecycle("activity"), ("A1", "A1")),
+            "duplicate component declaration",
+            ValueError,
+            id="duplicate-component",
+        ),
+        pytest.param(
+            lambda: Scenario(
+                "s", builtin_lifecycle("activity"), ("A1",), (LifecycleStep("A2", "onCreate"),)
+            ),
+            "undeclared component 'A2'",
+            ValueError,
+            id="undeclared-component",
+        ),
+        pytest.param(
             lambda: ToggleStep("CameraRelease", "off"),
             "must be a bool, got 'off'",
             TypeError,
