@@ -52,7 +52,6 @@ from .simulator import (
 
 __all__ = ["main"]
 
-DEPTH_ENV_VAR = "ENFORCEKIT_DEPTH"
 DEFAULT_DEPTH_LIMIT = 16
 VERIFY_TRACE_LIMIT = 1_000_000
 
@@ -107,21 +106,10 @@ def _load(path: str, kind: type[PolicySpec] | type[MonitorAutomaton]):
 
 
 def _depth_limit(args: argparse.Namespace) -> int:
-    """Insertion depth bound: --depth flag, else env var, else the default."""
-    if args.depth is not None:
-        value, origin = args.depth, "--depth"
-    elif DEPTH_ENV_VAR in os.environ:
-        raw = os.environ[DEPTH_ENV_VAR]
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _CliError(f"{DEPTH_ENV_VAR} must be an integer, got {raw!r}") from None
-        origin = DEPTH_ENV_VAR
-    else:
-        return DEFAULT_DEPTH_LIMIT
-    if value < 1:
-        raise _CliError(f"{origin} must be a positive integer, got {value}")
-    return value
+    """Insertion depth bound: the --depth flag, else the default."""
+    if args.depth < 1:
+        raise _CliError(f"--depth must be a positive integer, got {args.depth}")
+    return args.depth
 
 
 def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
@@ -368,10 +356,9 @@ def _add_registry_flags(parser: argparse.ArgumentParser, *, require_policy: bool
     parser.add_argument(
         "--depth",
         type=int,
-        default=None,
+        default=DEFAULT_DEPTH_LIMIT,
         metavar="N",
-        help=f"insertion depth limit (default {DEFAULT_DEPTH_LIMIT}, "
-        f"or the {DEPTH_ENV_VAR} environment variable)",
+        help=f"insertion depth limit (default {DEFAULT_DEPTH_LIMIT})",
     )
 
 

@@ -20,6 +20,12 @@ carry no ``emit`` clause, states may be flagged ``error`` (``state LEAKED
 error:``), and there is no ``default`` line: unmatched alphabet events
 self-loop. Indentation is not significant; names, binders, strings,
 comments and error positions follow "Lexical rules" in the README.
+
+This module owns the grammar and nothing more. The spec constructors in
+:mod:`enforcekit.policy` own the rules (unique states, a known initial
+state and targets, patterns from the alphabet, absorbing error states), and
+the parser only adds a position to their errors: the token of the state or
+transition at fault, or else the document head.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Union
 
-from .events import _IDENT_CHAR, EventKind, _PositionedError
+from .events import _IDENT_CHAR, _KINDS, _PositionedError
 from .policy import (
     INPUT,
     Binder,
@@ -41,6 +47,7 @@ from .policy import (
     OutputTemplate,
     PolicySpec,
     Transition,
+    _SpecError,
 )
 
 __all__ = [
@@ -59,7 +66,7 @@ class PolicyParseError(_PositionedError):
 
 
 class PolicySemanticError(_PositionedError):
-    """The text parses but violates a structural rule of the grammar."""
+    """The text parses but breaks a rule of its document kind or of the spec."""
 
 
 class _Token(NamedTuple):
@@ -197,14 +204,14 @@ def _parse_constraints(parser: _Parser) -> tuple[tuple[str, Constraint], ...]:
 
 def _parse_pattern(parser: _Parser) -> EventPattern:
     kind_tok = parser.expect("ident", "'cb' or 'api'")
-    if kind_tok.value not in ("cb", "api"):
+    if kind_tok.value not in _KINDS:
         raise _syntax(f"expected 'cb' or 'api', got {kind_tok.value!r}", kind_tok)
     name_tok = parser.expect("ident", "event name")
     constraints: tuple[tuple[str, Constraint], ...] = ()
     if parser.peek().type == "{":
         constraints = _parse_constraints(parser)
     try:
-        return EventPattern(EventKind(kind_tok.value), name_tok.value, constraints)
+        return EventPattern(_KINDS[kind_tok.value], name_tok.value, constraints)
     except ValueError as err:
         raise _semantic(str(err), name_tok) from err
 
@@ -236,13 +243,6 @@ def _parse_template(parser: _Parser) -> OutputTemplate:
         raise _semantic(str(err), close) from err
 
 
-class _StateBlock(NamedTuple):
-    name: str
-    error: bool
-    token: _Token
-    transitions: list[tuple[Transition, _Token]]
-
-
 def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
     """Parse one document; ``doc`` is "policy", "monitor" or None for either.
 
@@ -259,9 +259,12 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
     instancing: Instancing | None = None
     binder_attr: str | None = None
     alphabet: list[EventPattern] | None = None
-    initial: tuple[str, _Token] | None = None
+    initial: _Token | None = None
     default: DefaultAction | None = None
-    blocks: list[_StateBlock] = []
+    state_toks: list[_Token] = []  # each state's name, in declaration order
+    error_states: set[str] = set()
+    transitions: list[Transition] = []
+    on_toks: list[_Token] = []  # each transition's 'on'
 
     def reject_duplicate(value, clause: str, token: _Token):
         if value is not None:
@@ -302,23 +305,21 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
         elif keyword == "initial":
             reject_duplicate(initial, "initial", token)
             parser.next()
-            name_tok = parser.expect("ident", "state name")
-            initial = (name_tok.value, name_tok)
+            initial = parser.expect("ident", "state name")
         elif keyword == "state":
             parser.next()
             name_tok = parser.expect("ident", "state name")
-            error_flag = False
+            state_toks.append(name_tok)
             if parser.at_keyword("error"):
                 error_tok = parser.next()
                 if not is_monitor:
                     raise _semantic(
                         "error states are only allowed in monitors", error_tok
                     )
-                error_flag = True
+                error_states.add(name_tok.value)
             parser.expect(":")
-            transitions: list[tuple[Transition, _Token]] = []
             while parser.at_keyword("on"):
-                on_tok = parser.next()
+                on_toks.append(parser.next())
                 pattern = _parse_pattern(parser)
                 parser.expect("arrow", "'->'")
                 target_tok = parser.expect("ident", "target state")
@@ -331,10 +332,7 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
                 elif not is_monitor:
                     after = parser.peek()
                     raise _syntax("expected 'emit' after the target state", after)
-                transitions.append(
-                    (Transition(name_tok.value, pattern, target_tok.value, output), on_tok)
-                )
-            blocks.append(_StateBlock(name_tok.value, error_flag, name_tok, transitions))
+                transitions.append(Transition(name_tok.value, pattern, target_tok.value, output))
         elif keyword == "default":
             reject_duplicate(default, "default", token)
             parser.next()
@@ -356,50 +354,30 @@ def _parse(text: str, doc: str | None) -> PolicySpec | MonitorAutomaton:
     if trailing.type != "eof":
         raise _syntax(f"unexpected content after 'end': {trailing.value!r}", trailing)
 
-    # Semantic assembly with positioned errors.
-    seen_states: set[str] = set()
-    for block in blocks:
-        if block.name in seen_states:
-            raise _semantic(f"duplicate state {block.name}", block.token)
-        seen_states.add(block.name)
-    if not blocks:
+    if not state_toks:
         raise _syntax(f"{doc} declares no states", trailing)
     if initial is None:
         raise _syntax(f"{doc} has no initial state", trailing)
-    if initial[0] not in seen_states:
-        raise _semantic(f"unknown state {initial[0]}", initial[1])
-    patterns = tuple(alphabet or ())
-    for block in blocks:
-        for transition, on_tok in block.transitions:
-            if transition.target not in seen_states:
-                raise _semantic(f"unknown state {transition.target}", on_tok)
-            if transition.pattern not in patterns:
-                raise _semantic(
-                    f"pattern '{transition.pattern.text()}' is not in the alphabet",
-                    on_tok,
-                )
-        if block.error and block.transitions:
-            raise _semantic(
-                f"error state {block.name} must not have outgoing transitions",
-                block.token,
-            )
     shared = dict(
         name=name,
-        states=tuple(block.name for block in blocks),
-        initial=initial[0],
-        transitions=tuple(t for block in blocks for t, _tok in block.transitions),
-        alphabet=patterns,
+        states=tuple(tok.value for tok in state_toks),
+        initial=initial.value,
+        transitions=tuple(transitions),
+        alphabet=tuple(alphabet or ()),
         instancing=instancing or Instancing.SINGLETON,
         binder_attr=binder_attr,
         statement=statement or "",
     )
+    # The constructor checks the rules; an error that names a state or a
+    # transition is placed at its token, and any other at the document head.
     try:
         if is_monitor:
-            error_states = frozenset(b.name for b in blocks if b.error)
-            return MonitorAutomaton(**shared, error_states=error_states)
+            return MonitorAutomaton(**shared, error_states=frozenset(error_states))
         return PolicySpec(**shared, default=default or DefaultAction.ALLOW)
     except ValueError as err:
-        raise _semantic(str(err), head) from err
+        field_name, index = err.where if isinstance(err, _SpecError) else ("head", 0)
+        tokens = {"initial": [initial], "states": state_toks, "transitions": on_toks}
+        raise _semantic(str(err), tokens.get(field_name, [head])[index]) from err
 
 
 def parse_policy(text: str) -> PolicySpec:

@@ -223,7 +223,7 @@ def parse_event_literal(text: str) -> Event:
     if synthetic:
         text = text[1:]
     head, colon, rest = text.partition(":")
-    if not colon or head not in ("cb", "api"):
+    if not colon or head not in _KINDS:
         raise ValueError(f"bad event literal {original!r}: expected 'cb:' or 'api:'")
     name, at, tail = rest.partition("@")
     if not at:
@@ -242,7 +242,7 @@ def parse_event_literal(text: str) -> Event:
                 raise ValueError(f"bad event literal {original!r}: duplicate attribute {key!r}")
             attrs[key] = value
     try:
-        return Event(EventKind(head), name, component, 0, synthetic, attrs)
+        return Event(_KINDS[head], name, component, 0, synthetic, attrs)
     except ValueError as err:
         raise ValueError(f"bad event literal {original!r}: {err}") from err
 
@@ -286,11 +286,12 @@ class Trace:
         ]))
 
 
+# Each kind's text: the one table trace lines, event literals and patterns read.
 _KINDS = {kind.value: kind for kind in EventKind}
 _KIND_TEXT = {kind: text for text, kind in _KINDS.items()}  # kind.value is slow on 3.11
 # A whole valid trace line from the seq on: this one match checks every field.
 _LINE_RE = re.compile(
-    f"([0-9]+) (!?)(cb|api):({_IDENT_CHAR}+)@({_IDENT_CHAR}+)"
+    f"([0-9]+) (!?)({'|'.join(map(re.escape, _KINDS))}):({_IDENT_CHAR}+)@({_IDENT_CHAR}+)"
     f"((?: {_IDENT_CHAR}+={_IDENT_CHAR}+)*)"
 )
 
@@ -342,7 +343,7 @@ def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
     if colon < 0:
         raise TraceParseError("expected 'cb:' or 'api:'", lineno, pos + 1)
     kind_text = line[pos:colon]
-    if kind_text not in ("cb", "api"):
+    if kind_text not in _KINDS:
         raise TraceParseError(f"unknown event kind {kind_text!r}", lineno, pos + 1)
     at = line.find("@", colon + 1)
     if at < 0:
@@ -370,7 +371,7 @@ def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
         attrs[key] = value
         pos = tok_end
     try:
-        return Event(EventKind(kind_text), name, component, seq, synthetic, attrs)
+        return Event(_KINDS[kind_text], name, component, seq, synthetic, attrs)
     except ValueError as err:
         raise TraceParseError(str(err), lineno, colon + 2) from err
 
@@ -417,7 +418,7 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(_format_trace_line(e) for e in trace)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LifecycleModel:
     """Deterministic finite state machine over lifecycle callbacks."""
 
@@ -425,6 +426,7 @@ class LifecycleModel:
     states: frozenset[str]
     initial: str
     transitions: frozenset[tuple[str, str, str]]  # (from, callback, to)
+    _table: dict[tuple[str, str], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.states, frozenset):
@@ -450,7 +452,7 @@ class LifecycleModel:
 
     def target(self, state: str, callback: str) -> str | None:
         """Destination state for ``callback`` in ``state``, or None."""
-        return self._table.get((state, callback))  # type: ignore[attr-defined]
+        return self._table.get((state, callback))
 
 
 @dataclass(frozen=True)

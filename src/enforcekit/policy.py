@@ -12,16 +12,19 @@ edit). :class:`PolicySpec` and :class:`MonitorAutomaton` share one flat
 shape and one constructor, which validates the spec and builds its
 alphabet and transition indexes. Each spec is the runtime its callers
 step: it matches events, picks transitions and routes events to instance
-keys.
+keys. This module owns the rules of a spec, for specs built in code and
+parsed from text alike; :mod:`enforcekit.dsl` owns only the grammar.
+Every value here is frozen and slotted, so not even ``vars()`` reaches
+its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import field
 from enum import Enum
 from typing import ClassVar, Iterable, Union
 
-from .events import _KIND_TEXT, Event, EventKind, _check_ident, _set_kind
+from .events import _KIND_TEXT, Event, EventKind, _check_ident, _frozen, _set_kind
 
 __all__ = [
     "Severity",
@@ -51,7 +54,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@_frozen
 class Diagnostic:
     """One finding from a validator; errors make a spec unusable."""
 
@@ -66,14 +69,23 @@ class DispatchError(ValueError):
     """An event matched a pattern but cannot be routed to an instance."""
 
 
-@dataclass(frozen=True)
+class _SpecError(ValueError):
+    """A rule broken by one element, ``where`` = ``("initial", 0)``,
+    ``("states", i)`` or ``("transitions", i)``, indexing the given fields."""
+
+    def __init__(self, message: str, field_name: str, index: int = 0):
+        super().__init__(message)
+        self.where = (field_name, index)
+
+
+@_frozen
 class Literal:
     """Attribute constraint: the attribute must equal this value."""
 
     value: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class Binder:
     """Attribute constraint that captures the attribute value as ``$var``."""
 
@@ -105,15 +117,15 @@ def _normalize_constraints(constraints):
     return items, binders, tuple(literals)
 
 
-@dataclass(frozen=True)
+@_frozen
 class EventPattern:
     """Matches events by exact kind and name plus attribute constraints.
 
     A literal constraint requires the attribute to be present with that
     value. A binder constraint does not restrict matching; it names the
     attribute whose value keys per-binder instances and feeds templates.
-    The binder and the literals are private attributes, not fields, so
-    equality, hashing and ``repr`` ignore them; ``replace`` rebuilds them.
+    The binder and the literals are private fields that equality, hashing
+    and ``repr`` ignore, and that ``replace`` rebuilds.
 
     In an output template a pattern is the event a transition inserts: it
     takes the component of the triggering input, and its attribute values
@@ -123,6 +135,8 @@ class EventPattern:
     kind: EventKind
     name: str
     constraints: tuple[tuple[str, Constraint], ...] = ()
+    _binder: tuple[str, str] | None = field(init=False, repr=False, compare=False)
+    _literals: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _set_kind(self)
@@ -156,7 +170,7 @@ class EventPattern:
         return body
 
 
-@dataclass(frozen=True)
+@_frozen
 class InputRef:
     """The ``$in`` placeholder: the intercepted event itself."""
 
@@ -170,7 +184,7 @@ SynthEvent = EventPattern
 TemplateItem = Union[InputRef, EventPattern]
 
 
-@dataclass(frozen=True)
+@_frozen
 class OutputTemplate:
     """Ordered output of a transition: synthesized events around ``$in``.
 
@@ -201,7 +215,7 @@ class OutputTemplate:
 PASS = OutputTemplate((INPUT,))
 
 
-@dataclass(frozen=True)
+@_frozen
 class Transition:
     """``source --pattern--> target`` with an output template.
 
@@ -236,7 +250,7 @@ _ALLOW, _PER_BINDER = DefaultAction.ALLOW, Instancing.PER_BINDER
 _SINGLETON, _PER_COMPONENT = Instancing.SINGLETON, Instancing.PER_COMPONENT
 
 
-@dataclass(frozen=True)
+@_frozen
 class _KeyedSpec:
     """The fields and checks policies and monitors share.
 
@@ -244,11 +258,12 @@ class _KeyedSpec:
     events matching no alphabet pattern are invisible to it. Every
     transition pattern must be one of the alphabet patterns. The
     constructor indexes the alphabet by (kind, name) and the transitions
-    by (state, kind, name), once per spec; the indexes are private
-    attributes, not fields, so equality, hashing and ``repr`` ignore them.
-    What a step does with the chosen transition stays with its caller:
-    outputs and the default action for the enforcer, self-loops and
-    absorbing error states for monitors.
+    by (state, kind, name), once per spec; the indexes are private fields
+    that equality, hashing and ``repr`` ignore, and that ``replace``
+    rebuilds. A rule broken by one state or transition raises a
+    ``_SpecError`` with its index. What a step does with the chosen
+    transition stays with its caller: outputs and the default action for
+    the enforcer, self-loops and absorbing error states for monitors.
     """
 
     kind: ClassVar[str]  # "policy" or "monitor", as in the text language
@@ -260,24 +275,28 @@ class _KeyedSpec:
     instancing: Instancing = Instancing.SINGLETON
     binder_attr: str | None = None
     statement: str = ""
+    _by_name: dict = field(init=False, repr=False, compare=False)
+    _by_state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states, transitions = tuple(self.states), tuple(self.transitions)
-        seen: set[str] = set()
-        for state in states:
+        states, given = tuple(self.states), tuple(self.transitions)
+        order: dict[str, int] = {}  # each state's index
+        for i, state in enumerate(states):
             _check_ident(state, "state name")
-            if state in seen:
-                raise ValueError(f"duplicate state {state}")
-            seen.add(state)
-        for state in (self.initial, *(s for t in transitions for s in (t.source, t.target))):
-            if state not in seen:
-                raise ValueError(f"unknown state {state}")
-        self._check_kind(seen, transitions)
+            if state in order:
+                raise _SpecError(f"duplicate state {state}", "states", i)
+            order[state] = i
+        if self.initial not in order:
+            raise _SpecError(f"unknown state {self.initial}", "initial")
+        for i, t in enumerate(given):
+            for state in (t.source, t.target):
+                if state not in order:
+                    raise _SpecError(f"unknown state {state}", "transitions", i)
+        self._check_kind(order, given)
         # Stable-sort by source state declaration order: serialization
         # groups transitions under their state block, so this makes it a
         # faithful round trip for automata built in code too.
-        order = {state: i for i, state in enumerate(states)}
-        transitions = tuple(sorted(transitions, key=lambda t: order[t.source]))
+        transitions = tuple(sorted(given, key=lambda t: order[t.source]))
         alphabet = tuple(self.alphabet)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", transitions)
@@ -287,9 +306,10 @@ class _KeyedSpec:
             raise ValueError("statement must be a single line")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("duplicate alphabet pattern")
-        for t in transitions:
+        for i, t in enumerate(given):
             if t.pattern not in alphabet:
-                raise ValueError(f"pattern '{t.pattern.text()}' is not in the alphabet")
+                message = f"pattern '{t.pattern.text()}' is not in the alphabet"
+                raise _SpecError(message, "transitions", i)
         binder_attr = self.binder_attr
         if self.instancing is Instancing.PER_BINDER:
             if not binder_attr:
@@ -314,8 +334,9 @@ class _KeyedSpec:
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_by_state", index_transitions(transitions))
 
-    def _check_kind(self, states: set[str], transitions) -> None:
-        """The kind's own rules, checked after the states and before the rest."""
+    def _check_kind(self, order: dict[str, int], transitions) -> None:
+        """The kind's own rules, checked after the states and before the rest;
+        ``order`` maps each state to its index."""
         raise NotImplementedError
 
     def match(self, event: Event) -> EventPattern | None:
@@ -377,7 +398,7 @@ class _KeyedSpec:
         return [(event.component, value)], bindings
 
 
-@dataclass(frozen=True)
+@_frozen
 class PolicySpec(_KeyedSpec):
     """A named, instantiable enforcement policy: a finite edit automaton.
 
@@ -390,23 +411,23 @@ class PolicySpec(_KeyedSpec):
 
     kind: ClassVar[str] = "policy"
     default: DefaultAction = DefaultAction.ALLOW
+    _broadcast_states: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        super().__post_init__()
+        _KeyedSpec.__post_init__(self)  # a slotted dataclass has no zero-argument super()
         free = {(p.kind, p.name) for p in self.alphabet if p.binder() is None}
         reactive = self.states if self.default is DefaultAction.SUPPRESS else [
             state for state, kind, name in self._by_state if (kind, name) in free]
         object.__setattr__(self, "_broadcast_states", frozenset(reactive))
 
-    def _check_kind(self, states, transitions):
-        for t in transitions:
+    def _check_kind(self, order, transitions):
+        for i, t in enumerate(transitions):
             if t.output is None:
-                raise ValueError(
-                    f"transition {t.source} -> {t.target} is missing an output template"
-                )
+                message = f"transition {t.source} -> {t.target} is missing an output template"
+                raise _SpecError(message, "transitions", i)
 
 
-@dataclass(frozen=True)
+@_frozen
 class MonitorAutomaton(_KeyedSpec):
     """Deterministic acceptor with absorbing error states.
 
@@ -419,19 +440,18 @@ class MonitorAutomaton(_KeyedSpec):
     kind: ClassVar[str] = "monitor"
     error_states: frozenset[str] = frozenset()
 
-    def _check_kind(self, states, transitions):
+    def _check_kind(self, order, transitions):
         error_states = frozenset(self.error_states)
         object.__setattr__(self, "error_states", error_states)
         for state in error_states:
-            if state not in states:
+            if state not in order:
                 raise ValueError(f"unknown state {state}")
-        for t in transitions:
+        for i, t in enumerate(transitions):
             if t.output is not None:
-                raise ValueError("monitor transitions must not carry outputs")
+                raise _SpecError("monitor transitions must not carry outputs", "transitions", i)
             if t.source in error_states:
-                raise ValueError(
-                    f"error state {t.source} must not have outgoing transitions"
-                )
+                message = f"error state {t.source} must not have outgoing transitions"
+                raise _SpecError(message, "states", order[t.source])
 
 
 def patterns_overlap(a: EventPattern, b: EventPattern) -> bool:

@@ -28,7 +28,7 @@ from .enforcement import (
 )
 from .events import (
     _IDENT_RE, _NO_ATTRS, Event, EventKind, LifecycleModel, Trace, _Attrs, _check_ident,
-    _trusted,
+    _frozen, _trusted,
 )
 from .policy import DispatchError
 
@@ -206,7 +206,7 @@ class Scenario:
                 raise ValueError(f"undeclared component {step.component!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class ResourceModel:
     """An exclusive resource guarded by an acquire/release API pair.
 

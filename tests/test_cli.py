@@ -229,31 +229,20 @@ class TestEnforce:
         assert out == ""
         assert err.startswith("error: seq 2: unbound binder '$t' in synthesized event ")
 
-    def test_env_var_sets_the_depth_limit(
-        self, capsys, monkeypatch, tmp_path, chained_policies
-    ):
+    def test_depth_flag_raises_the_limit(self, capsys, tmp_path, chained_policies):
         trace = tmp_path / "chain.trace"
         trace.write_text("1 api:p0@C1\n")
         first, second = chained_policies
-        monkeypatch.setenv(cli.DEPTH_ENV_VAR, "1")
-        code, _, _ = _run(capsys, "enforce", "-p", first, "-p", second, str(trace))
-        assert code == 1
-        # The flag wins over the environment.
         code, out, _ = _run(
             capsys, "enforce", "-p", first, "-p", second, "--depth", "2", str(trace)
         )
         assert code == 0
         assert out.splitlines() == ["1 !api:p2@C1", "2 !api:p1@C1", "3 api:p0@C1"]
 
-    @pytest.mark.parametrize(
-        "value, fragment",
-        [("soon", "must be an integer"), ("0", "must be a positive integer")],
-    )
-    def test_bad_depth_env_values(self, capsys, monkeypatch, leaky_trace, value, fragment):
-        monkeypatch.setenv(cli.DEPTH_ENV_VAR, value)
-        code, _, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, leaky_trace)
-        assert code == 2
-        assert fragment in err
+    def test_depth_must_be_positive(self, capsys, leaky_trace):
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, "--depth", "0", leaky_trace)
+        assert (code, out) == (2, "")
+        assert err == "error: --depth must be a positive integer, got 0\n"
 
     def test_missing_binder_attribute_reports_the_seq(self, capsys, tmp_path):
         trace = tmp_path / "bad.trace"

@@ -204,14 +204,12 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case_id", sorted(CASES))
 def test_cli_output_is_unchanged(case_id, golden, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv(cli.DEPTH_ENV_VAR, raising=False)
     argv, written = CASES[case_id]
     assert _run_case(argv, written, tmp_path) == golden[case_id]
 
 
 def _record() -> None:
     os.chdir(ROOT)
-    os.environ.pop(cli.DEPTH_ENV_VAR, None)
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case_id, (argv, written) in sorted(CASES.items()):

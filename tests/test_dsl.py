@@ -297,6 +297,14 @@ def test_semantic_error_positions(text, cls, message, line, column):
         f"line {line}, column {column}: {message}", line, column)
 
 
+def test_first_of_several_faults_follows_the_constructor():
+    # The constructor checks the alphabet before the transitions' patterns.
+    text = "policy P\nalphabet cb a, cb a\ninitial S\nstate S:\n  on cb b -> S emit [$in]\nend\n"
+    with pytest.raises(PolicySemanticError) as exc:
+        parse_policy(text)
+    assert str(exc.value) == "line 1, column 1: duplicate alphabet pattern"
+
+
 def test_parse_document_dispatches_on_leading_keyword(camera_policy):
     assert isinstance(parse_document(CAMERA_TEXT), PolicySpec)
     monitor_text = (CATALOG / "camera.monitor").read_text()

@@ -1,12 +1,16 @@
 """Policy model: patterns, templates, automata, and static validation."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from enforcekit import (
+    BUILTIN_RESOURCES,
     Binder,
+    Diagnostic,
     DefaultAction,
     DispatchError,
     Event,
@@ -22,12 +26,16 @@ from enforcekit import (
     Severity,
     SynthEvent,
     Transition,
+    builtin_lifecycle,
+    parse_document,
     validate_policy,
 )
 from enforcekit.enforcement import AutomatonInstance
 from enforcekit.policy import patterns_overlap
 
-from conftest import BINDER_PATTERNS, PLAIN_PATTERNS, SHADOWED_PATTERNS, monitors, policies
+from conftest import (
+    BINDER_PATTERNS, CATALOG, PLAIN_PATTERNS, SHADOWED_PATTERNS, monitors, policies,
+)
 
 
 def pat(kind: EventKind, name: str, **constraints) -> EventPattern:
@@ -124,7 +132,7 @@ def test_pattern_binder_and_literals_agree_with_a_scan(kind, constraints, others
     pattern = EventPattern(kind, "op", tuple(constraints.items()))
     assert pattern.binder() == _scan_binder(pattern)
     assert pattern._literals == _scan_literals(pattern)
-    # Neither is a field: replace rebuilds both, and equality, hashing and
+    # Both are private fields that replace rebuilds; equality, hashing and
     # repr see only the constraints.
     other = dataclasses.replace(pattern, constraints=tuple(others.items()))
     assert other.binder() == _scan_binder(other)
@@ -535,3 +543,47 @@ def test_determinism_check_is_sound(patterns):
 )
 def test_overlap_is_symmetric(a, b):
     assert patterns_overlap(a, b) == patterns_overlap(b, a)
+
+
+_VALUES = {
+    "diagnostic": lambda: Diagnostic(Severity.WARNING, "state X is unreachable"),
+    "literal": lambda: Literal("S1"),
+    "binder": lambda: Binder("s"),
+    "pattern": lambda: pat(API, "registerService", service="$s", mode="fast"),
+    "input": lambda: INPUT,
+    "template": lambda: OutputTemplate((SynthEvent(API, "Camera.release"), INPUT)),
+    "transition": lambda: Transition("S", pat(CB, "onPause"), "S", PASS),
+    "policy": lambda: parse_document((CATALOG / "osgi_unregister.policy").read_text()),
+    "monitor": lambda: parse_document((CATALOG / "camera.monitor").read_text()),
+    "lifecycle": lambda: builtin_lifecycle("activity"),
+    "resource": lambda: BUILTIN_RESOURCES[1],
+}
+
+
+@pytest.mark.parametrize("build", _VALUES.values(), ids=_VALUES)
+def test_values_cannot_be_changed_through_vars(build):
+    value = build()
+    with pytest.raises(TypeError):
+        vars(value)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for field in dataclasses.fields(value)[:1]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+    assert value == build()
+
+
+@pytest.mark.parametrize("build", _VALUES.values(), ids=_VALUES)
+def test_copies_of_values_are_equal_and_hash_alike(build):
+    value = build()
+    copies = [
+        pickle.loads(pickle.dumps(value)),
+        copy.copy(value),
+        copy.deepcopy(value),
+        dataclasses.replace(value),
+    ]
+    for copied in copies:
+        assert type(copied) is type(value)
+        assert copied == value
+        assert hash(copied) == hash(value)
+
