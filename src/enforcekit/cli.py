@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .dsl import parse_document
 from .enforcement import (
+    DEFAULT_DEPTH_LIMIT,
     EditRecord,
     EnforcementError,
     ModuleRegistry,
@@ -52,7 +53,6 @@ from .simulator import (
 
 __all__ = ["main"]
 
-DEFAULT_DEPTH_LIMIT = 16
 VERIFY_TRACE_LIMIT = 1_000_000
 
 # Exit codes shared by the subcommands. "Unusable" covers everything that
@@ -228,7 +228,7 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     records: list[Record] = [
         ("module", {"name": name, **asdict(counts)}) for name, counts in report.counts.items()
     ]
-    records += [("edit", dict(vars(record))) for record in report.records]  # flat: no asdict
+    records += [("edit", asdict(record)) for record in report.records]
     records.append(("total", {**asdict(report.total), "delta": report.delta}))
     _render(records, args, sys.stdout if args.out else sys.stderr)
     return EXIT_OK

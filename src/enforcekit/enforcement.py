@@ -1,17 +1,19 @@
 """The policy enforcer: proactive modules and the event pipeline.
 
-A registry holds proactive modules ordered by priority. Each intercepted
-event flows through the active modules in priority order; a module may pass
-it, suppress it, or surround it with synthesized events. Synthesized events
-flow only downstream (to strictly lower-priority modules), never back into
-the module that inserted them, and the total insertion depth is bounded.
+A registry holds proactive modules in the order given, the stack's order.
+Each intercepted event flows through the active modules in that order; a
+module may pass it, suppress it, or surround it with synthesized events.
+Synthesized events flow only downstream (to later modules), never back
+into the module that inserted them, and the total insertion depth is
+bounded.
 
-The modules (their flags and instances) are the only mutable state in the
-toolkit; they are single-owner and not thread safe. ``ProactiveModule.step``
-is the only code that routes an event to instances and combines their
-outputs, ``ProactiveModule._add`` the only one that creates an instance,
-``AutomatonInstance.step`` the only writer of its state and ``set_active``
-the only writer of a flag. Events, traces and the registry stay immutable.
+The modules' activation flags and instance tables are the only mutable
+state in the toolkit; they are single-owner and not thread safe.
+``ProactiveModule.step`` is the only code that routes an event to
+instances and combines their outputs, ``ProactiveModule._add`` the only
+one that creates an instance, ``AutomatonInstance.step`` the only writer
+of its state and ``set_active`` the only writer of a flag. Every other
+field of a module or a registry is frozen and slotted.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .events import Event, EventKind, Trace, _Attrs, _trusted
+from .events import Event, EventKind, Trace, _Attrs, _frozen, _trusted
 from .policy import (
     _ALLOW,
     _PER_BINDER,
@@ -47,6 +49,7 @@ __all__ = [
 
 INSERT = "insert"
 SUPPRESS = "suppress"
+DEFAULT_DEPTH_LIMIT = 16
 
 
 class EnforcementError(RuntimeError):
@@ -134,33 +137,27 @@ def _instantiate_template(
     return out
 
 
-@dataclass(frozen=True)
+@_frozen
 class ProactiveModule:
     """A policy wired into the pipeline with an activation flag.
 
-    The fields are frozen: :meth:`ModuleRegistry.set_active` is the only
-    writer of ``active``. Under per-binder instancing the module also
-    indexes, per component and unordered, the keys of live instances in
-    the policy's broadcast-reactive states, the only ones a broadcast
-    visits; :meth:`PolicySpec.route` orders them. :meth:`_add` is the only
-    code that creates an instance; it and :meth:`step`, on a change of
-    state, write the index through :meth:`_index`. ``instances`` is a
-    read-only view.
+    A module starts active; :meth:`ModuleRegistry.set_active` is the only
+    writer of ``active``, and the other fields are frozen. Under
+    per-binder instancing the module also indexes, per component and
+    unordered, the keys of live instances in the policy's
+    broadcast-reactive states, the only ones a broadcast visits;
+    :meth:`PolicySpec.route` orders them. :meth:`_add` is the only code
+    that creates an instance; it and :meth:`step`, on a change of state,
+    write the index through :meth:`_index`. ``instances`` is a read-only
+    view.
     """
 
     policy: PolicySpec
-    priority: int = 0
-    active: bool = True
+    active: bool = field(default=True, init=False)
     _instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict, init=False)
     _keys_by_component: dict[str, dict[InstanceKey, None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
-            raise TypeError(f"'priority' must be an int, got {self.priority!r}")
-        if not isinstance(self.active, bool):
-            raise TypeError(f"'active' must be a bool, got {self.active!r}")
 
     @property
     def name(self) -> str:
@@ -254,7 +251,7 @@ class ModuleCounts:
     passed: int = 0
 
 
-@dataclass(frozen=True)
+@_frozen
 class EditRecord:
     """One edit performed during a run, attributed to an input seq."""
 
@@ -298,18 +295,19 @@ class EnforcementReport:
         return total.inserted - total.suppressed
 
 
-@dataclass(frozen=True)
+@_frozen
 class ModuleRegistry:
-    """Proactive modules ordered by priority, plus the insertion bound.
+    """A stack of proactive modules, first to last, plus the insertion bound.
 
-    The modules are fixed at construction, as a tuple in priority order,
+    The modules are fixed at construction, as a tuple in the order given,
     and indexed by the (kind, name) pairs of their alphabets: an event
-    outside every alphabet then passes without visiting any module. The
-    registry is frozen; ``set_active`` and ``reset`` change its modules.
+    outside every alphabet then passes without visiting any module. Module
+    names must be unique. The registry is frozen; ``set_active`` and
+    ``reset`` change its modules.
     """
 
     modules: tuple[ProactiveModule, ...] = ()
-    insert_depth_limit: int = 16
+    insert_depth_limit: int = DEFAULT_DEPTH_LIMIT
     _candidates: dict[tuple[EventKind, str], tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -320,10 +318,7 @@ class ModuleRegistry:
             raise TypeError(f"insert_depth_limit must be an int, got {limit!r}")
         if limit < 1:
             raise ValueError("insert_depth_limit must be a positive integer")
-        object.__setattr__(self, "modules", tuple(sorted(self.modules, key=lambda m: m.priority)))
-        priorities = [m.priority for m in self.modules]
-        if len(set(priorities)) != len(priorities):
-            raise ValueError("module priorities must be unique")
+        object.__setattr__(self, "modules", tuple(self.modules))
         names = [m.name for m in self.modules]
         if len(set(names)) != len(names):
             raise ValueError("module names must be unique")
@@ -335,11 +330,10 @@ class ModuleRegistry:
 
     @classmethod
     def from_policies(
-        cls, policies: Iterable[PolicySpec], *, insert_depth_limit: int = 16
+        cls, policies: Iterable[PolicySpec], *, insert_depth_limit: int = DEFAULT_DEPTH_LIMIT
     ) -> "ModuleRegistry":
-        """Build a registry assigning priorities in the given order."""
-        modules = [ProactiveModule(spec, priority=i) for i, spec in enumerate(policies)]
-        return cls(modules, insert_depth_limit)
+        """Build a registry with one active module per policy, in the given order."""
+        return cls(tuple(map(ProactiveModule, policies)), insert_depth_limit)
 
     def module(self, name: str) -> ProactiveModule:
         for module in self.modules:

@@ -455,7 +455,7 @@ class LifecycleModel:
         return self._table.get((state, callback))
 
 
-@dataclass(frozen=True)
+@_frozen
 class LifecycleDiagnostic:
     """One callback that was not enabled in the component's current state."""
 

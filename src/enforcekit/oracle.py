@@ -29,7 +29,7 @@ from .enforcement import (
     _enforce_input,
     enforce_trace,  # noqa: F401
 )
-from .events import Event, Trace, _trusted
+from .events import Event, Trace, _frozen, _trusted
 from .policy import (
     Diagnostic,
     DispatchError,
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Violation:
     """One transition into an error state while replaying a trace."""
 
@@ -113,7 +113,7 @@ def _step_monitor(
     return violations
 
 
-@dataclass(frozen=True)
+@_frozen
 class EventUniverse:
     """A concrete alphabet of events plus a length bound for enumeration."""
 

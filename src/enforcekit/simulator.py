@@ -146,13 +146,13 @@ def inactive_states(model: LifecycleModel) -> frozenset[str]:
     return frozenset(model.states - sources)
 
 
-@dataclass(frozen=True)
+@_frozen
 class LifecycleStep:
     component: str
     callback: str
 
 
-@dataclass(frozen=True)
+@_frozen
 class ApiCallStep:
     component: str
     name: str
@@ -167,7 +167,7 @@ class ApiCallStep:
             _check_ident(value, f"attribute value for {key!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class ToggleStep:
     module: str
     active: bool
@@ -180,7 +180,7 @@ class ToggleStep:
 Step = Union[LifecycleStep, ApiCallStep, ToggleStep]
 
 
-@dataclass(frozen=True)
+@_frozen
 class Scenario:
     """A named script: declared components plus an ordered step list."""
 
@@ -232,7 +232,7 @@ BUILTIN_RESOURCES: tuple[ResourceModel, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class LeakRecord:
     """A component entered an inactive state while holding a resource."""
 
@@ -250,7 +250,7 @@ class LeakRecord:
         )
 
 
-@dataclass(frozen=True)
+@_frozen
 class DeniedAcquire:
     """An acquire attempt rejected because the resource was already held."""
 

@@ -342,33 +342,16 @@ class TestModuleChaining:
         out = enforce_event(registry, Event.api("b", "C1", seq=2))
         assert _literals(out) == ["!api:x@C1", "api:b@C1"]
 
-    def test_modules_run_in_priority_order_not_list_order(self):
-        from enforcekit import ProactiveModule
-
-        low = ProactiveModule(_suppressor("Low", "a"), priority=1)
-        high = ProactiveModule(_suppressor("High", "b"), priority=5)
-        registry = ModuleRegistry([high, low])
-        assert [m.name for m in registry.modules] == ["Low", "High"]
-
-    def test_duplicate_priorities_are_rejected(self):
-        from enforcekit import ProactiveModule
-
-        with pytest.raises(ValueError, match="priorities must be unique"):
-            ModuleRegistry(
-                [
-                    ProactiveModule(_suppressor("A", "a"), priority=1),
-                    ProactiveModule(_suppressor("B", "b"), priority=1),
-                ]
-            )
+    def test_modules_run_in_the_order_given(self):
+        a = ProactiveModule(_suppressor("A", "a"))
+        b = ProactiveModule(_suppressor("B", "b"))
+        assert ModuleRegistry([b, a]).modules == (b, a)
 
     def test_duplicate_names_are_rejected(self):
         with pytest.raises(ValueError, match="names must be unique"):
             _registry(_suppressor("Same", "a"), _suppressor("Same", "b"))
-
-    @pytest.mark.parametrize("priority", ["a", 1.0, None, True, False])
-    def test_priority_must_be_an_int(self, priority):
-        with pytest.raises(TypeError, match="'priority' must be an int"):
-            ProactiveModule(CAMERA, priority=priority)
+        with pytest.raises(ValueError, match="names must be unique"):
+            ModuleRegistry([ProactiveModule(CAMERA), ProactiveModule(CAMERA)])
 
 
 class TestActivation:
@@ -386,18 +369,21 @@ class TestActivation:
             registry.set_active("CameraRelease", active)
         assert registry.module("CameraRelease").active is True
 
-    @pytest.mark.parametrize("active", ["no", "", 0, 1, None])
-    def test_constructor_flag_must_be_a_bool(self, active):
-        with pytest.raises(TypeError, match="'active' must be a bool"):
-            ProactiveModule(CAMERA, active=active)
+    def test_every_module_starts_active(self):
+        assert ProactiveModule(CAMERA).active is True
+        with pytest.raises(TypeError, match="'active'"):
+            ProactiveModule(CAMERA, active=False)
 
-    @pytest.mark.parametrize("field, value", [("active", "no"), ("policy", OSGI), ("priority", 3)])
+    @pytest.mark.parametrize("field, value", [("active", "no"), ("policy", OSGI)])
     def test_module_fields_cannot_be_reassigned(self, field, value):
         registry = _registry(CAMERA)
         module = registry.module("CameraRelease")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(module, field, value)
-        assert (module.active, module.policy, module.priority) == (True, CAMERA, 0)
+        for holder in (module, registry):
+            with pytest.raises(TypeError):
+                vars(holder)
+        assert (module.active, module.policy) == (True, CAMERA)
         trace = Trace.renumbered([Event.api("Camera.open", "A1"), Event.cb("onPause", "A1")])
         out, _ = enforce_trace(registry, trace)
         assert _literals(out) == ["api:Camera.open@A1", "!api:Camera.release@A1", "cb:onPause@A1"]

@@ -1,5 +1,7 @@
-"""Every module's ``__all__`` names only what the module defines."""
+"""Every module's ``__all__`` names only what the module defines, and every
+frozen dataclass a module defines is slotted."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -43,3 +45,21 @@ def test_star_import_binds_the_package_all_from_the_defining_modules():
     assert sorted(namespace) == sorted(package.__all__)
     for module in LIBRARY:
         assert [a for a in module.__all__ if namespace[a] is not getattr(module, a)] == []
+
+
+def test_every_frozen_dataclass_is_slotted():
+    # A slotted instance has no __dict__, so vars() cannot write past the
+    # frozen __setattr__.
+    frozen = {
+        cls.__name__: cls
+        for module in LIBRARY + [importlib.import_module("enforcekit.cli")]
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and dataclasses.is_dataclass(cls)
+        and cls.__dataclass_params__.frozen
+    }
+    assert {"Event", "ProactiveModule", "ModuleRegistry", "Scenario", "EventUniverse"} <= set(
+        frozen
+    )
+    assert [name for name, cls in frozen.items() if cls.__dictoffset__ != 0] == []

@@ -12,12 +12,17 @@ from enforcekit import (
     Binder,
     Diagnostic,
     DefaultAction,
+    DeniedAcquire,
     DispatchError,
+    EditRecord,
     Event,
     EventKind,
     EventPattern,
+    EventUniverse,
     INPUT,
     Instancing,
+    LeakRecord,
+    LifecycleDiagnostic,
     Literal,
     MonitorAutomaton,
     OutputTemplate,
@@ -25,9 +30,12 @@ from enforcekit import (
     PolicySpec,
     Severity,
     SynthEvent,
+    ToggleStep,
     Transition,
+    Violation,
     builtin_lifecycle,
     parse_document,
+    parse_scenario,
     validate_policy,
 )
 from enforcekit.enforcement import AutomatonInstance
@@ -494,7 +502,7 @@ def test_a_broadcast_leaves_states_outside_the_reactive_set_alone(spec):
 # the direction that matters.
 
 _NAMES = ["op", "op2"]
-_VALUES = ["v1", "v2"]
+_ATTR_VALUES = ["v1", "v2"]
 
 
 def _pattern_pool():
@@ -502,7 +510,7 @@ def _pattern_pool():
     for name in _NAMES:
         pool.append(pat(API, name))
         pool.append(pat(CB, name))
-        for value in _VALUES:
+        for value in _ATTR_VALUES:
             pool.append(pat(API, name, k=value))
     return pool
 
@@ -512,7 +520,7 @@ def _concrete_events():
     for name in _NAMES:
         events.append(Event.api(name, "C1"))
         events.append(Event.cb(name, "C1"))
-        for value in _VALUES:
+        for value in _ATTR_VALUES:
             events.append(Event.api(name, "C1", k=value))
             events.append(Event.cb(name, "C1", k=value))
     return events
@@ -557,6 +565,17 @@ _VALUES = {
     "monitor": lambda: parse_document((CATALOG / "camera.monitor").read_text()),
     "lifecycle": lambda: builtin_lifecycle("activity"),
     "resource": lambda: BUILTIN_RESOURCES[1],
+    "scenario": lambda: parse_scenario(
+        "lifecycle osgi-bundle\ncomponent B1\nlc B1 start\n"
+        "call B1 registerService service=S1\ntoggle OsgiUnregister off\n"
+    ),
+    "toggle": lambda: ToggleStep("OsgiUnregister", False),
+    "universe": lambda: EventUniverse((Event.api("open", "C1"), Event.cb("onPause", "C1")), 3),
+    "edit": lambda: EditRecord(4, "CameraRelease", "insert", "!api:Camera.release@A1"),
+    "violation": lambda: Violation(3, ("A1",), "Leaked"),
+    "lifecycle diagnostic": lambda: LifecycleDiagnostic(2, "A1", "onStop", "created"),
+    "leak": lambda: LeakRecord("C1", "unmounted", "timer", "T1", 5),
+    "denied": lambda: DeniedAcquire("B2", "service", "S1", "B1", 5),
 }
 
 

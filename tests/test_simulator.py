@@ -391,9 +391,9 @@ class TestRunScenario:
     def test_keyed_api_call_without_its_key_attribute(self):
         text = (
             "lifecycle react-component\ncomponent C1\n"
-            "lc C1 componentDidMount\ncall C1 setTimer\n"
+            "lc C1 componentDidMount\ncall C1 setTimer\nlc C1 componentDidMount\n"
         )
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(ScenarioError) as exc:  # the first faulty step, not the later one
             run_scenario(parse_scenario(text))
         assert str(exc.value) == "step 2: api call setTimer lacks attribute 'timer'"
 
