@@ -344,7 +344,7 @@ def _add_registry_flags(parser: argparse.ArgumentParser, *, require_policy: bool
         required=require_policy,
         default=[],
         metavar="FILE",
-        help="policy file; repeat to stack modules, order sets priority",
+        help="policy file; repeat to stack the modules first to last",
     )
     parser.add_argument(
         "--deactivate",

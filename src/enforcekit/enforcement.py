@@ -156,8 +156,9 @@ class ProactiveModule:
     active: bool = field(default=True, init=False)
     _instances: dict[InstanceKey, AutomatonInstance] = field(default_factory=dict, init=False)
     _keys_by_component: dict[str, dict[InstanceKey, None]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a run's state: equal only to itself
 
     @property
     def name(self) -> str:
@@ -309,8 +310,9 @@ class ModuleRegistry:
     modules: tuple[ProactiveModule, ...] = ()
     insert_depth_limit: int = DEFAULT_DEPTH_LIMIT
     _candidates: dict[tuple[EventKind, str], tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a run's state: equal only to itself
 
     def __post_init__(self):
         limit = self.insert_depth_limit

@@ -368,55 +368,6 @@ def parse_scenario(text: str, *, default_name: str = "scenario") -> Scenario:
         raise
 
 
-class _ResourceState:
-    """Holder bookkeeping for one run: (resource, key) -> component."""
-
-    def __init__(self, resources: tuple[ResourceModel, ...]):
-        self.by_acquire = {r.acquire: r for r in resources}
-        self.by_release = {r.release: r for r in resources}
-        self.holdings: dict[tuple[str, str | None], str] = {}
-
-    def _slot(
-        self, resource: ResourceModel, event: Event, step_no: int
-    ) -> tuple[str, str | None]:
-        if resource.key_attr is None:
-            return (resource.name, None)
-        key = event.attrs.get(resource.key_attr)
-        if key is None:
-            raise ScenarioError(
-                f"api call {event.name} lacks attribute {resource.key_attr!r}",
-                step_no,
-            )
-        return (resource.name, key)
-
-    def apply(
-        self, event: Event, step_no: int, seq: int, denied: list[DeniedAcquire]
-    ) -> None:
-        """Update holdings for one (possibly synthesized) emitted event."""
-        if event.kind is not _API_CALL:
-            return
-        resource = self.by_acquire.get(event.name)
-        if resource is not None:
-            slot = self._slot(resource, event, step_no)
-            holder = self.holdings.get(slot)
-            if holder is not None:
-                denied.append(
-                    DeniedAcquire(event.component, slot[0], slot[1], holder, seq)
-                )
-            else:
-                self.holdings[slot] = event.component
-            return
-        resource = self.by_release.get(event.name)
-        if resource is not None:
-            slot = self._slot(resource, event, step_no)
-            if self.holdings.get(slot) == event.component:
-                del self.holdings[slot]
-
-    def held_by(self, component: str) -> list[tuple[str, str | None]]:
-        slots = [s for s, holder in self.holdings.items() if holder == component]
-        return sorted(slots, key=lambda s: (s[0], s[1] or ""))
-
-
 def run_scenario(
     scenario: Scenario,
     registry: ModuleRegistry | None = None,
@@ -431,16 +382,43 @@ def run_scenario(
     what updates the resource state, so a synthesized release really frees
     the resource before the leak check fires. A step that cannot be
     executed or enforced raises :class:`ScenarioError` with its number.
+
+    Like :func:`enforce_trace`, a run continues the registry's: instances
+    and activation flags carry over, and a toggle outlives the call.
     """
     model = scenario.lifecycle
     inactive = inactive_states(model)
     lifecycle_state = {c: model.initial for c in scenario.components}
-    state = _ResourceState(resources)
+    # API name -> (resource, whether the call acquires); when a name is one
+    # resource's acquire and another's release, the acquire wins.
+    calls = {r.release: (r, False) for r in resources}
+    calls.update({r.acquire: (r, True) for r in resources})
+    holdings: dict[tuple[str, str | None], str] = {}  # (resource, key) -> holder
     report = LeakReport()
     emitted: list[Event] = []
     seq = 0
-
-    def process(event: Event, step_no: int) -> None:
+    for step_no, step in enumerate(scenario.steps, 1):
+        if isinstance(step, ToggleStep):
+            if registry is not None:
+                try:
+                    registry.set_active(step.module, step.active)
+                except UnknownModuleError as err:
+                    raise ScenarioError(str(err), step_no) from err
+            continue
+        seq += 1
+        component = step.component
+        if isinstance(step, LifecycleStep):
+            current = lifecycle_state[component]
+            target = model.target(current, step.callback)
+            if target is None:
+                raise ScenarioError(
+                    f"{step.callback} not enabled in state {current} for component {component}",
+                    step_no,
+                )
+            event = _trusted(_CALLBACK, step.callback, component, seq, False, _NO_ATTRS)
+        else:
+            target = None
+            event = _trusted(_API_CALL, step.name, component, seq, False, step.attrs)
         if registry is None:
             outputs = [event]
         else:
@@ -449,41 +427,31 @@ def run_scenario(
             except (EnforcementError, DispatchError) as err:
                 raise ScenarioError(str(err), step_no) from err
         for out in outputs:
-            state.apply(out, step_no, seq, report.denied)
-        emitted.extend(outputs)
-
-    for step_no, step in enumerate(scenario.steps, 1):
-        if isinstance(step, ToggleStep):
-            if registry is None:
+            call = calls.get(out.name) if out.kind is _API_CALL else None
+            if call is None:
                 continue
-            try:
-                registry.set_active(step.module, step.active)
-            except UnknownModuleError as err:
-                raise ScenarioError(str(err), step_no) from err
-            continue
-        seq += 1
-        if isinstance(step, LifecycleStep):
-            current = lifecycle_state[step.component]
-            target = model.target(current, step.callback)
-            if target is None:
-                raise ScenarioError(
-                    f"{step.callback} not enabled in state {current} "
-                    f"for component {step.component}",
-                    step_no,
-                )
-            process(
-                _trusted(_CALLBACK, step.callback, step.component, seq, False, _NO_ATTRS),
-                step_no,
-            )
-            lifecycle_state[step.component] = target
-            if target in inactive:
-                for resource, key in state.held_by(step.component):
-                    report.leaks.append(
-                        LeakRecord(step.component, target, resource, key, seq)
+            resource, acquires = call
+            key = None
+            if resource.key_attr is not None:
+                key = out.attrs.get(resource.key_attr)
+                if key is None:
+                    raise ScenarioError(
+                        f"api call {out.name} lacks attribute {resource.key_attr!r}", step_no
                     )
-        else:
-            process(
-                _trusted(_API_CALL, step.name, step.component, seq, False, step.attrs),
-                step_no,
-            )
+            slot = (resource.name, key)
+            holder = holdings.get(slot)
+            if not acquires:
+                if holder == out.component:
+                    del holdings[slot]
+            elif holder is not None:
+                report.denied.append(DeniedAcquire(out.component, resource.name, key, holder, seq))
+            else:
+                holdings[slot] = out.component
+        emitted.extend(outputs)
+        if target is not None:
+            lifecycle_state[component] = target
+            if target in inactive:
+                held = [slot for slot, holder in holdings.items() if holder == component]
+                for name, key in sorted(held, key=lambda s: (s[0], s[1] or "")):
+                    report.leaks.append(LeakRecord(component, target, name, key, seq))
     return Trace.renumbered(emitted), report

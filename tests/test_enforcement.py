@@ -388,6 +388,20 @@ class TestActivation:
         out, _ = enforce_trace(registry, trace)
         assert _literals(out) == ["api:Camera.open@A1", "!api:Camera.release@A1", "cb:onPause@A1"]
 
+    def test_modules_and_registries_compare_and_hash_by_identity(self):
+        # Each holds the state of a run, so it equals only itself.
+        first, second = ProactiveModule(CAMERA), ProactiveModule(CAMERA)
+        assert first != second and first == first
+        opened = Event.api("Camera.open", "A1", seq=1)
+        first.step(opened, first.alphabet_match(opened))
+        assert first.instances and first == first
+        other = ProactiveModule(OSGI)
+        registry = ModuleRegistry([other, first])
+        assert registry.modules == (other, first)
+        assert registry == registry != ModuleRegistry([other, first])
+        assert len({first, second, other, registry}) == 4
+        assert hash(first) == hash(first) and hash(registry) == hash(registry)
+
     def test_inactive_module_is_identity(self):
         registry = _registry(CAMERA)
         enforce_event(registry, Event.api("Camera.open", "A1", seq=1))

@@ -19,6 +19,7 @@ from enforcekit import (
     ModuleRegistry,
     OutputTemplate,
     PolicySpec,
+    ResourceModel,
     Scenario,
     ScenarioError,
     ScenarioParseError,
@@ -37,7 +38,6 @@ from enforcekit import (
 )
 from enforcekit import simulator as simulator_module
 from enforcekit.events import _Attrs
-from enforcekit.simulator import _ResourceState
 
 from conftest import CATALOG, CATALOG_POLICIES, SCENARIOS
 
@@ -290,6 +290,19 @@ class TestRunScenario:
             "component=B1 state=stopped resource=service[S1] at step seq 4"
         )
 
+    def test_leaks_come_in_resource_then_key_order(self):
+        text = (
+            "lifecycle osgi-bundle\ncomponent B1\nlc B1 start\n"
+            "call B1 registerService service=S2\ncall B1 setTimer timer=T1\n"
+            "call B1 registerService service=S1\nlc B1 stop\n"
+        )
+        _, report = run_scenario(parse_scenario(text))
+        assert [(leak.resource, leak.key) for leak in report.leaks] == [
+            ("service", "S1"),
+            ("service", "S2"),
+            ("timer", "T1"),
+        ]
+
     def test_bundle_stop_enforced_releases_both_services(self):
         registry = _registry_for("osgi_unregister.policy")
         trace, report = run_scenario(_scenario("osgi-stop-leak.scn"), registry)
@@ -387,6 +400,36 @@ class TestRunScenario:
         )
         _, report = run_scenario(parse_scenario(text))
         assert report.leaks == [LeakRecord("C1", "unmounted", "timer", "T1", 5)]
+
+    def test_resources_argument_replaces_the_builtins(self):
+        text = (
+            "lifecycle activity\ncomponent A1\ncomponent A2\n"
+            "lc A1 onCreate\nlc A1 onResume\ncall A1 acquireWakeLock\n"
+            "call A2 acquireWakeLock\ncall A2 releaseWakeLock\nlc A1 onPause\n"
+        )
+        wake_lock = ResourceModel("WakeLock", "acquireWakeLock", "releaseWakeLock")
+        _, report = run_scenario(parse_scenario(text), resources=(wake_lock,))
+        assert report.leaks == [LeakRecord("A1", "paused", "WakeLock", None, 6)]
+        assert report.denied == [DeniedAcquire("A2", "WakeLock", None, "A1", 4)]
+        _, builtin = run_scenario(parse_scenario(text))
+        assert builtin == LeakReport()
+
+    def test_a_run_continues_the_registry_of_the_last(self):
+        registry = _registry_for("camera_release.policy")
+        opened = "lifecycle activity\ncomponent A1\nlc A1 onCreate\ncall A1 Camera.open\n"
+        run_scenario(parse_scenario(opened), registry)
+        # The instance that saw the open carries over, so this A1's pause,
+        # with no open of its own, still gets a release.
+        paused = "lifecycle activity\ncomponent A1\nlc A1 onCreate\nlc A1 onResume\nlc A1 onPause\n"
+        trace, _ = run_scenario(parse_scenario(paused), registry)
+        assert "!api:Camera.release@A1" in _literals(trace)
+        # A toggle outlives its run, until the module is set active again.
+        run_scenario(parse_scenario("lifecycle activity\ntoggle CameraRelease off\n"), registry)
+        _, report = run_scenario(_scenario("plumeria-leak.scn"), registry)
+        assert (len(report.leaks), len(report.denied)) == (1, 1)
+        registry.set_active("CameraRelease", True)
+        _, report = run_scenario(_scenario("plumeria-leak.scn"), registry)
+        assert report == LeakReport()
 
     def test_keyed_api_call_without_its_key_attribute(self):
         text = (
@@ -589,10 +632,60 @@ def test_api_call_steps_keep_read_only_attrs():
 # --- the trusted run against the validated one -------------------------
 
 
+class _ResourceState:
+    """Holder bookkeeping for one run: (resource, key) -> component."""
+
+    def __init__(self, resources: tuple[ResourceModel, ...]):
+        self.by_acquire = {r.acquire: r for r in resources}
+        self.by_release = {r.release: r for r in resources}
+        self.holdings: dict[tuple[str, str | None], str] = {}
+
+    def _slot(
+        self, resource: ResourceModel, event: Event, step_no: int
+    ) -> tuple[str, str | None]:
+        if resource.key_attr is None:
+            return (resource.name, None)
+        key = event.attrs.get(resource.key_attr)
+        if key is None:
+            raise ScenarioError(
+                f"api call {event.name} lacks attribute {resource.key_attr!r}",
+                step_no,
+            )
+        return (resource.name, key)
+
+    def apply(
+        self, event: Event, step_no: int, seq: int, denied: list[DeniedAcquire]
+    ) -> None:
+        """Update holdings for one (possibly synthesized) emitted event."""
+        if event.kind is not EventKind.API_CALL:
+            return
+        resource = self.by_acquire.get(event.name)
+        if resource is not None:
+            slot = self._slot(resource, event, step_no)
+            holder = self.holdings.get(slot)
+            if holder is not None:
+                denied.append(
+                    DeniedAcquire(event.component, slot[0], slot[1], holder, seq)
+                )
+            else:
+                self.holdings[slot] = event.component
+            return
+        resource = self.by_release.get(event.name)
+        if resource is not None:
+            slot = self._slot(resource, event, step_no)
+            if self.holdings.get(slot) == event.component:
+                del self.holdings[slot]
+
+    def held_by(self, component: str) -> list[tuple[str, str | None]]:
+        slots = [s for s, holder in self.holdings.items() if holder == component]
+        return sorted(slots, key=lambda s: (s[0], s[1] or ""))
+
+
 def reference_run_scenario(scenario, registry=None, resources=BUILTIN_RESOURCES):
     """The per-step loop of run_scenario, with every step event built, and
     every emitted event renumbered, through the validating ``Event``
-    constructor instead of trusted copies.
+    constructor instead of trusted copies, and with its own holder
+    bookkeeping, so that a fault in the simulator's cannot pass unseen.
     """
     model = scenario.lifecycle
     inactive = inactive_states(model)
@@ -653,11 +746,11 @@ def reference_run_scenario(scenario, registry=None, resources=BUILTIN_RESOURCES)
 _CATALOG_SPECS = [parse_policy((CATALOG / name).read_text()) for name in CATALOG_POLICIES]
 
 
-def _outcome(run, scenario, enforced):
+def _outcome(run, scenario, enforced, resources=BUILTIN_RESOURCES):
     """What a run gives: its trace and report, or its error's text and step."""
     registry = ModuleRegistry.from_policies(_CATALOG_SPECS) if enforced else None
     try:
-        return run(scenario, registry)
+        return run(scenario, registry, resources)
     except ScenarioError as err:
         return str(err), err.step
 
@@ -762,6 +855,33 @@ def test_trusted_run_matches_the_validated_reference(scenario, enforced):
         _assert_like_validated_events(outcome[0])
     # parse_scenario skips Scenario's checks; what it builds must not differ.
     assert parse_scenario(_scenario_text(scenario)) == scenario
+
+
+_API_NAMES = sorted({name for name, _attrs in _API_CALLS})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scenarios(),
+    st.booleans(),
+    st.lists(
+        st.builds(
+            ResourceModel,
+            st.sampled_from(["R1", "R2"]),
+            st.sampled_from(_API_NAMES),
+            st.sampled_from(_API_NAMES),
+            st.sampled_from([None, "service", "timer", "tag"]),
+        ),
+        max_size=4,
+    ).map(tuple),
+)
+def test_trusted_run_matches_the_validated_reference_on_drawn_resources(
+    scenario, enforced, resources
+):
+    """Resources that share names, slots or API calls: one call may be one
+    resource's acquire and another's release, and then the acquire wins."""
+    outcome = _outcome(run_scenario, scenario, enforced, resources)
+    assert outcome == _outcome(reference_run_scenario, scenario, enforced, resources)
 
 
 def test_run_scenario_builds_no_validated_event(monkeypatch):
