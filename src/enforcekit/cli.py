@@ -28,14 +28,16 @@ from .enforcement import (
     DEFAULT_DEPTH_LIMIT,
     EditRecord,
     EnforcementError,
+    EnforcementReport,
     ModuleRegistry,
     UnknownModuleError,
-    enforce_trace,
+    _enforce_input,
 )
 from .events import (
     Trace,
     TraceParseError,
     TraceValidationError,
+    _format_trace_line,
     parse_event_literal,
     parse_trace,
     serialize_trace,
@@ -209,18 +211,23 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     itself owns stdout and the report moves to stderr so the two streams
     never mix. Exit 0 on success (edited or not), 1 on an enforcement error
     (reported with the seq of the input event that triggered it), 2 on
-    unusable inputs.
+    unusable inputs. The whole file is parsed first; each emitted event is
+    then written at once with its running seq, as ``enforce_trace`` numbers it.
     """
     registry = _build_registry(args)
     try:
         trace = parse_trace(_read_text(args.trace))
     except (TraceParseError, TraceValidationError) as err:
         raise _CliError(f"{args.trace}: {err}") from err
+    report = EnforcementReport.for_registry(registry)
+    lines: list[str] = []
     try:
-        enforced, report = enforce_trace(registry, trace)
+        for event in trace:
+            for emitted in _enforce_input(registry, event, report):
+                lines.append(_format_trace_line(emitted, len(lines) + 1))
     except EnforcementError as err:
         raise _CliError(str(err), EXIT_FAILURE) from err
-    text = _trace_file_text(enforced)
+    text = "\n".join(lines) + "\n" if lines else ""
     if args.out:
         _write_text(args.out, text)
     else:
@@ -228,7 +235,8 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     records: list[Record] = [
         ("module", {"name": name, **asdict(counts)}) for name, counts in report.counts.items()
     ]
-    records += [("edit", asdict(record)) for record in report.records]
+    records += [("edit", {"seq": r.seq, "module": r.module, "action": r.action, "event": r.event})
+                for r in report.records]
     records.append(("total", {**asdict(report.total), "delta": report.delta}))
     _render(records, args, sys.stdout if args.out else sys.stderr)
     return EXIT_OK
@@ -419,10 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
     except _CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except OSError as err:  # files fail as a _CliError: this is stdout
+        print(f"error: cannot write standard output: {err.strerror or err}", file=sys.stderr)
+        return EXIT_UNUSABLE
+    return code
 
 
 if __name__ == "__main__":

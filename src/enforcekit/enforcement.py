@@ -445,13 +445,13 @@ def enforce_event(
 def enforce_trace(
     registry: ModuleRegistry, trace: Trace
 ) -> tuple[Trace, EnforcementReport]:
-    """Enforce a whole trace, renumbering the output seq 1..n.
+    """Enforce a whole trace into a copy renumbered seq 1..n.
 
-    Instances persist across the events of one call, so the registry
-    carries history; callers wanting a fresh run should use a fresh
-    registry or call ``registry.reset()`` first. Any failure on an input
-    event, including one that cannot be routed to an instance (see
-    :meth:`PolicySpec.route`), stops the run with an
+    ``enforcekit enforce`` writes the same lines in one pass, with no copy.
+    Instances persist across the events of one call, so the registry carries
+    history; for a fresh run use a fresh registry or ``registry.reset()``.
+    Any failure on an input event, including one that cannot be routed to an
+    instance (see :meth:`PolicySpec.route`), stops the run with an
     :class:`EnforcementError` whose message starts with that event's seq.
     """
     report = EnforcementReport.for_registry(registry)

@@ -402,9 +402,10 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(events))
 
 
-def _format_trace_line(event: Event) -> str:
+def _format_trace_line(event: Event, seq: int) -> str:
+    """``event``'s trace line, numbered ``seq`` whatever its own seq is."""
     bang = "!" if event.synthetic else ""
-    line = f"{event.seq} {bang}{_KIND_TEXT[event.kind]}:{event.name}@{event.component}"
+    line = f"{seq} {bang}{_KIND_TEXT[event.kind]}:{event.name}@{event.component}"
     attrs = event.attrs
     return " ".join([line, *(f"{k}={attrs[k]}" for k in sorted(attrs))]) if attrs else line
 
@@ -412,10 +413,11 @@ def _format_trace_line(event: Event) -> str:
 def serialize_trace(trace: Trace) -> str:
     """Render a trace in the canonical line format (no trailing newline).
 
-    The output is stable: equal traces always serialize to identical bytes,
-    and ``parse_trace(serialize_trace(t)) == t`` for every valid trace.
+    Each line is :func:`_format_trace_line` at the event's own seq, the
+    formatter ``enforcekit enforce`` writes with. Equal traces serialize to
+    identical bytes, and ``parse_trace(serialize_trace(t)) == t``.
     """
-    return "\n".join(_format_trace_line(e) for e in trace)
+    return "\n".join(_format_trace_line(e, e.seq) for e in trace)
 
 
 @_frozen

@@ -1,7 +1,10 @@
 """Command line interface: exit codes, output streams, report formats."""
 
 import contextlib
+import dataclasses
+import errno
 import io
+import itertools
 import os
 import shutil
 import subprocess
@@ -13,9 +16,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enforcekit import cli
+from enforcekit import (
+    EnforcementError,
+    ModuleRegistry,
+    Trace,
+    cli,
+    enforce_trace,
+    enforcement,
+    events,
+    serialize_policy,
+    serialize_trace,
+)
+from enforcekit.enforcement import DEFAULT_DEPTH_LIMIT
 
 from conftest import CATALOG, CATALOG_MONITORS, CATALOG_POLICIES, ROOT, SCENARIOS
+from test_enforcement import _STACK_EVENTS, _STACKS
 
 CAMERA_POLICY = str(CATALOG / "camera_release.policy")
 CAMERA_MONITOR = str(CATALOG / "camera.monitor")
@@ -47,6 +62,18 @@ def _verify_args(policy: str, *, max_len: int = 3, events=CAMERA_EVENTS) -> list
 def leaky_trace(tmp_path):
     path = tmp_path / "leaky.trace"
     path.write_text("1 api:Camera.open@A1\n2 cb:onPause@A1\n")
+    return str(path)
+
+
+@pytest.fixture
+def timer_policy(tmp_path):
+    """A per-component timer policy whose insertion needs an unbound ``$t``."""
+    path = tmp_path / "timer.policy"
+    path.write_text(
+        "policy T\ninstantiate per-component\nalphabet api setTimer, cb unmount\n"
+        "initial CLEAR\nstate CLEAR:\n  on api setTimer -> SET emit [$in]\n"
+        "state SET:\n  on cb unmount -> CLEAR emit [api clearTimer{timer=$t}, $in]\nend\n"
+    )
     return str(path)
 
 
@@ -149,6 +176,19 @@ class TestEnforce:
             "1 api:Camera.open@A1\n2 !api:Camera.release@A1\n3 cb:onPause@A1\n"
         )
 
+    def test_the_trace_is_written_in_one_pass(self, capsys, leaky_trace, monkeypatch):
+        # No renumbered copy of the enforced trace is built on the way out.
+        def refuse(*args, **kwargs):
+            raise AssertionError("enforce built a second trace")
+
+        monkeypatch.setattr(events.Trace, "renumbered", refuse)
+        for name in ("_trace_file_text", "serialize_trace"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(enforcement, "enforce_trace", refuse)
+        code, out, _ = _run(capsys, "enforce", "-p", CAMERA_POLICY, leaky_trace)
+        assert code == 0
+        assert out == "1 api:Camera.open@A1\n2 !api:Camera.release@A1\n3 cb:onPause@A1\n"
+
     def test_edit_records_name_the_triggering_seq(self, capsys, leaky_trace):
         _, _, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, leaky_trace)
         assert (
@@ -215,19 +255,29 @@ class TestEnforce:
         assert code == 1
         assert err == "error: seq 1: insertion depth limit 1 exceeded (module chain: L0 -> L1)\n"
 
-    def test_unbound_binder_reports_the_seq(self, capsys, tmp_path):
-        policy = tmp_path / "timer.policy"
-        policy.write_text(
-            "policy T\ninstantiate per-component\nalphabet api setTimer, cb unmount\n"
-            "initial CLEAR\nstate CLEAR:\n  on api setTimer -> SET emit [$in]\n"
-            "state SET:\n  on cb unmount -> CLEAR emit [api clearTimer{timer=$t}, $in]\nend\n"
-        )
+    def test_unbound_binder_reports_the_seq(self, capsys, tmp_path, timer_policy):
         trace = tmp_path / "timer.trace"
         trace.write_text("1 api:setTimer@C1\n2 cb:unmount@C1\n")
-        code, out, err = _run(capsys, "enforce", "-p", str(policy), str(trace))
+        code, out, err = _run(capsys, "enforce", "-p", timer_policy, str(trace))
         assert code == 1
         assert out == ""
         assert err.startswith("error: seq 2: unbound binder '$t' in synthesized event ")
+
+    def test_a_bad_line_is_found_before_enforcement_fails(self, capsys, tmp_path, timer_policy):
+        # Seq 2 cannot be enforced (see above), but the whole file is
+        # parsed first: line 3 makes the run unusable, with no output.
+        trace = tmp_path / "timer.trace"
+        trace.write_text("1 api:setTimer@C1\n2 cb:unmount@C1\n3 wibble\n")
+        code, out, err = _run(capsys, "enforce", "-p", timer_policy, str(trace))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {trace}: line 3, column ")
+        out_path = tmp_path / "enforced.trace"
+        code, out, err = _run(
+            capsys, "enforce", "-p", timer_policy, str(trace), "-o", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {trace}: line 3, column ")
+        assert not out_path.exists()
 
     def test_depth_flag_raises_the_limit(self, capsys, tmp_path, chained_policies):
         trace = tmp_path / "chain.trace"
@@ -524,6 +574,122 @@ def test_non_utf8_input_is_unreadable(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+class _FullStdout:
+    """A stdout on a full disk: ``write`` fails, or only ``flush`` does."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def _fail(self, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.failing == "write":
+            self._fail()
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            self._fail()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [["enforce", "-p", CAMERA_POLICY, "TRACE"], ["check", CAMERA_POLICY]],
+    ids=["enforce", "check"],
+)
+def test_a_failed_write_to_stdout_is_unusable_output(
+    capsys, monkeypatch, leaky_trace, argv, failing
+):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    code = cli.main([leaky_trace if arg == "TRACE" else arg for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+def _library_report(report, style: str) -> str:
+    """The report ``enforce`` prints for ``report``, in ``--format style``."""
+    total = report.total
+    if style == "text":
+        lines = [
+            f"module {name}: inserted={c.inserted} suppressed={c.suppressed} passed={c.passed}"
+            for name, c in report.counts.items()
+        ]
+        lines += [f"edit {record}" for record in report.records]
+        lines.append(
+            f"total: inserted={total.inserted} suppressed={total.suppressed} "
+            f"passed={total.passed} delta={report.delta:+d}"
+        )
+    else:
+        lines = [
+            f"type=module name={name} inserted={c.inserted} suppressed={c.suppressed} "
+            f"passed={c.passed}"
+            for name, c in report.counts.items()
+        ]
+        lines += [
+            f"type=edit seq={r.seq} module={r.module} action={r.action} event={r.event}"
+            for r in report.records
+        ]
+        lines.append(
+            f"type=total inserted={total.inserted} suppressed={total.suppressed} "
+            f"passed={total.passed} delta={report.delta}"
+        )
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=_STACKS,
+    events_=st.lists(_STACK_EVENTS, max_size=8),
+    gaps=st.lists(st.integers(1, 4), min_size=8, max_size=8),
+)
+def test_enforce_writes_what_the_library_enforces(specs, events_, gaps):
+    specs = [dataclasses.replace(spec, name=f"M{i}") for i, spec in enumerate(specs)]
+    seqs, seq = [], 0
+    for gap in gaps[: len(events_)]:  # seqs that leave gaps, such as 1, 5, 6
+        seq += gap
+        seqs.append(seq)
+    trace = Trace(tuple(dataclasses.replace(e, seq=s) for e, s in zip(events_, seqs)))
+    with tempfile.TemporaryDirectory() as tmp:
+        policy_args = []
+        for spec in specs:
+            path = os.path.join(tmp, f"{spec.name}.policy")
+            Path(path).write_text(serialize_policy(spec))
+            policy_args += ["-p", path]
+        trace_path = os.path.join(tmp, "input.trace")
+        Path(trace_path).write_text(serialize_trace(trace) + "\n")
+        for depth in (DEFAULT_DEPTH_LIMIT, 1):
+            registry = ModuleRegistry.from_policies(specs, insert_depth_limit=depth)
+            try:
+                enforced, report = enforce_trace(registry, trace)
+            except EnforcementError as failure:
+                enforced, report = None, failure
+            for style, to_file in itertools.product(("text", "structured"), (False, True)):
+                out_path = os.path.join(tmp, f"out-{depth}-{style}-{to_file}.trace")
+                argv = ["enforce", *policy_args, trace_path, "--format", style]
+                argv += ["--depth", "1"] if depth == 1 else []
+                argv += ["-o", out_path] if to_file else []
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                if enforced is None:
+                    assert not os.path.exists(out_path)
+                    expected = 1, "", f"error: {report}\n"
+                else:
+                    text = serialize_trace(enforced)
+                    trace_text = text + "\n" if text else ""
+                    report_text = _library_report(report, style)
+                    if to_file:
+                        assert Path(out_path).read_text() == trace_text
+                        expected = 0, report_text, ""
+                    else:
+                        expected = 0, trace_text, report_text
+                assert (code, out.getvalue(), err.getvalue()) == expected
 
 
 @pytest.mark.parametrize("command", ["enforce", "simulate"])
