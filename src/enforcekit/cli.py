@@ -38,8 +38,8 @@ from .events import (
     TraceParseError,
     TraceValidationError,
     _format_trace_line,
+    _scan_trace,
     parse_event_literal,
-    parse_trace,
     serialize_trace,
 )
 from .oracle import EventUniverse, brute_force_verify, validate_monitor
@@ -213,17 +213,23 @@ def cmd_enforce(args: argparse.Namespace) -> int:
     (reported with the seq of the input event that triggered it), 2 on
     unusable inputs. The whole file is parsed first; each emitted event is
     then written at once with its running seq, as ``enforce_trace`` numbers it.
+    A line outside every alphabet, with no attributes, is written back under
+    its running seq without becoming an event, so the output is still byte
+    for byte ``serialize_trace`` of ``enforce_trace``'s result.
     """
     registry = _build_registry(args)
     try:
-        trace = parse_trace(_read_text(args.trace))
+        items = _scan_trace(_read_text(args.trace), registry._candidates)
     except (TraceParseError, TraceValidationError) as err:
         raise _CliError(f"{args.trace}: {err}") from err
     report = EnforcementReport.for_registry(registry)
     lines: list[str] = []
     try:
-        for event in trace:
-            for emitted in _enforce_input(registry, event, report):
+        for item in items:
+            if type(item) is str:  # outside every alphabet: written back as it is
+                lines.append(f"{len(lines) + 1} {item}")
+                continue
+            for emitted in _enforce_input(registry, item, report):
                 lines.append(_format_trace_line(emitted, len(lines) + 1))
     except EnforcementError as err:
         raise _CliError(str(err), EXIT_FAILURE) from err

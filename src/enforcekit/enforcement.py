@@ -302,7 +302,10 @@ class ModuleRegistry:
 
     The modules are fixed at construction, as a tuple in the order given,
     and indexed by the (kind, name) pairs of their alphabets: an event
-    outside every alphabet then passes without visiting any module. Module
+    outside every alphabet then passes without visiting any module.
+    ``enforcekit enforce`` writes such a trace line, when it has no
+    attributes, back under its running seq without building an event, and
+    still writes ``serialize_trace`` of ``enforce_trace``'s result. Module
     names must be unique. The registry is frozen; ``set_active`` and
     ``reset`` change its modules.
     """

@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 __all__ = [
     "EventKind",
@@ -296,31 +296,9 @@ _LINE_RE = re.compile(
 )
 
 
-def _matched_event(match: re.Match | None) -> Event | None:
-    """The event a :data:`_LINE_RE` match spells, or None if it has none.
-
-    None for no match, a repeated attribute key, or a seq with more
-    digits than ``int()`` converts.
-    """
-    if match is None:
-        return None
-    seq_text, bang, kind, name, component, tail = match.groups()
-    attrs = _NO_ATTRS
-    if tail:
-        pairs = [token.split("=") for token in tail[1:].split(" ")]
-        attrs = _Attrs(pairs)
-        if len(attrs) != len(pairs):
-            return None
-    try:
-        seq = int(seq_text)
-    except ValueError:
-        return None
-    return _trusted(_KINDS[kind], name, component, seq, bool(bang), attrs)
-
-
 def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
     """Parse ``line[start:]`` field by field; columns count from the start of
-    ``line``. Runs only where :func:`_matched_event` gives None, so in
+    ``line``. Runs only where a :data:`_LINE_RE` match gives no event, so in
     practice it raises :class:`TraceParseError` at the first bad field.
     """
     n = len(line)
@@ -376,14 +354,15 @@ def _parse_trace_line(line: str, lineno: int, start: int) -> Event:
         raise TraceParseError(str(err), lineno, colon + 2) from err
 
 
-def parse_trace(text: str) -> Trace:
-    """Parse the line-oriented trace format.
+def _scan_trace(text: str, seen: Container[tuple[EventKind, str]] | None) -> list[Event | str]:
+    """The items of a trace file, checked as :func:`parse_trace` documents.
 
-    Blank lines and lines starting with ``#`` are skipped. Raises
-    :class:`TraceParseError` on a malformed line and
-    :class:`TraceValidationError` when seq values do not strictly increase.
+    Each item is an :class:`Event`, except where ``seen`` is given and a
+    line has no attributes and a (kind, name) not in ``seen``: that item is
+    the line's text after the seq, which :func:`_format_trace_line` would
+    write for its event.
     """
-    events: list[Event] = []
+    items: list[Event | str] = []
     prev_seq = -1
     for lineno, line in enumerate(text.splitlines(), 1):
         start = 0
@@ -394,12 +373,37 @@ def parse_trace(text: str) -> Trace:
             if start == len(line) or line[start] == "#":
                 continue
             match = _LINE_RE.fullmatch(line, start)
-        event = _matched_event(match) or _parse_trace_line(line, lineno, start)
-        if event.seq <= prev_seq:
+        item = None
+        if match:
+            seq_text, bang, kind, name, component, tail = match.groups()
+            attrs = _Attrs(token.split("=") for token in tail[1:].split(" ")) if tail else _NO_ATTRS
+            try:
+                seq = int(seq_text)
+            except ValueError:  # more digits than int() converts
+                pass
+            else:
+                if not tail and seen is not None and (_KINDS[kind], name) not in seen:
+                    item = line[match.end(1) + 1 :]
+                elif len(attrs) == tail.count(" "):  # else a key repeats
+                    item = _trusted(_KINDS[kind], name, component, seq, bool(bang), attrs)
+        if item is None:  # the field walk reports the first bad field
+            item = _parse_trace_line(line, lineno, start)
+            seq = item.seq
+        if seq <= prev_seq:
             raise TraceValidationError(f"non-monotone seq at line {lineno}")
-        prev_seq = event.seq
-        events.append(event)
-    return Trace(tuple(events))
+        prev_seq = seq
+        items.append(item)
+    return items
+
+
+def parse_trace(text: str) -> Trace:
+    """Parse the line-oriented trace format.
+
+    Blank lines and lines starting with ``#`` are skipped. Raises
+    :class:`TraceParseError` on a malformed line and
+    :class:`TraceValidationError` when seq values do not strictly increase.
+    """
+    return Trace(tuple(_scan_trace(text, None)))
 
 
 def _format_trace_line(event: Event, seq: int) -> str:

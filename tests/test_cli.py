@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from enforcekit import (
     EnforcementError,
+    Event,
     ModuleRegistry,
     Trace,
     cli,
@@ -326,6 +327,52 @@ class TestEnforce:
         assert code == 2
         assert out == ""
         assert err == f"error: {trace}: line 1, column 1: sequence number is too long\n"
+
+    def test_lines_outside_every_alphabet_build_no_event(self, capsys, tmp_path, monkeypatch):
+        enforce_input = cli._enforce_input
+
+        def only_seen(registry, event, report):
+            if (event.kind, event.name) not in registry._candidates:
+                raise AssertionError(f"{event.literal()} went through the enforcer")
+            return enforce_input(registry, event, report)
+
+        monkeypatch.setattr(cli, "_enforce_input", only_seen)
+        trace = tmp_path / "mixed.trace"
+        trace.write_text(
+            "1 api:Log.d@A1\n2 api:Camera.open@A1\n# a comment\n  3 !cb:onTrimMemory@A1\t\n"
+            "4 cb:onPause@A1\n\n7 api:Log.d@A2\n"
+        )
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, str(trace))
+        assert code == 0
+        assert out == (
+            "1 api:Log.d@A1\n2 api:Camera.open@A1\n3 !cb:onTrimMemory@A1\n"
+            "4 !api:Camera.release@A1\n5 cb:onPause@A1\n6 api:Log.d@A2\n"
+        )
+        assert "total: inserted=1 suppressed=0 passed=2 delta=+1" in err
+
+    @pytest.mark.parametrize("first, second", [
+        ("api:Log.d@A1", "api:Camera.open@A1"),
+        ("api:Camera.open@A1", "api:Log.d@A1"),
+    ])
+    def test_seq_order_is_checked_across_lanes(self, capsys, tmp_path, first, second):
+        trace = tmp_path / "order.trace"
+        trace.write_text(f"5 {first}\n4 {second}\n")
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, str(trace))
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: non-monotone seq at line 2\n"
+
+    @pytest.mark.parametrize("line, error", [
+        ("  " + "9" * 5000 + " api:Log.d@A1", "line 2, column 3: sequence number is too long"),
+        ("2 api:Log.d@A1 tag=a tag=b", "line 2, column 22: duplicate attribute 'tag'"),
+    ], ids=["overlong-seq", "repeated-key"])
+    def test_a_bad_line_outside_every_alphabet_keeps_its_error(
+        self, capsys, tmp_path, line, error
+    ):
+        trace = tmp_path / "bad.trace"
+        trace.write_text(f"1 api:Camera.open@A1\n{line}\n")
+        code, out, err = _run(capsys, "enforce", "-p", CAMERA_POLICY, str(trace))
+        assert (code, out) == (2, "")
+        assert err == f"error: {trace}: {error}\n"
 
     def test_monitor_file_is_not_a_policy(self, capsys, leaky_trace):
         code, _, err = _run(capsys, "enforce", "-p", CAMERA_MONITOR, leaky_trace)
@@ -642,19 +689,44 @@ def _library_report(report, style: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# Events outside every drawn stack's alphabet, which `enforce` writes back
+# without building an event, unless they carry attributes.
+_UNSEEN_EVENTS = st.sampled_from([
+    Event.api("Log.d", "C1"),
+    Event.api("Log.d", "C2", tag="net", level="3"),
+    dataclasses.replace(Event.api("Log.d", "C1"), synthetic=True),
+    dataclasses.replace(Event.cb("onTrimMemory", "C2", level="5", app="x"), synthetic=True),
+    Event.cb("onTrimMemory", "C1"),
+])
+# Around each line: what comes before it, its indent, its trailing blanks,
+# and whether its attributes are written in reverse order.
+_LINE_DRESS = st.tuples(
+    st.sampled_from(["", "", "# a comment\n", "\n", "  \t\n", "\t# indented\n"]),
+    st.sampled_from(["", "", " ", "\t "]),
+    st.sampled_from(["", "", " ", " \t"]),
+    st.booleans(),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     specs=_STACKS,
-    events_=st.lists(_STACK_EVENTS, max_size=8),
+    events_=st.lists(st.one_of(_STACK_EVENTS, _UNSEEN_EVENTS), max_size=8),
     gaps=st.lists(st.integers(1, 4), min_size=8, max_size=8),
+    dress=st.lists(_LINE_DRESS, min_size=8, max_size=8),
 )
-def test_enforce_writes_what_the_library_enforces(specs, events_, gaps):
+def test_enforce_writes_what_the_library_enforces(specs, events_, gaps, dress):
     specs = [dataclasses.replace(spec, name=f"M{i}") for i, spec in enumerate(specs)]
     seqs, seq = [], 0
     for gap in gaps[: len(events_)]:  # seqs that leave gaps, such as 1, 5, 6
         seq += gap
         seqs.append(seq)
     trace = Trace(tuple(dataclasses.replace(e, seq=s) for e, s in zip(events_, seqs)))
+    written = ""
+    for line, (before, indent, blanks, reverse) in zip(serialize_trace(trace).splitlines(), dress):
+        seq_text, event_text, *attrs = line.split(" ")
+        line = " ".join([seq_text, event_text, *(attrs[::-1] if reverse else attrs)])
+        written += f"{before}{indent}{line}{blanks}\n"
     with tempfile.TemporaryDirectory() as tmp:
         policy_args = []
         for spec in specs:
@@ -662,7 +734,7 @@ def test_enforce_writes_what_the_library_enforces(specs, events_, gaps):
             Path(path).write_text(serialize_policy(spec))
             policy_args += ["-p", path]
         trace_path = os.path.join(tmp, "input.trace")
-        Path(trace_path).write_text(serialize_trace(trace) + "\n")
+        Path(trace_path).write_text(written + dress[-1][0])
         for depth in (DEFAULT_DEPTH_LIMIT, 1):
             registry = ModuleRegistry.from_policies(specs, insert_depth_limit=depth)
             try:
