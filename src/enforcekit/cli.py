@@ -107,13 +107,6 @@ def _load(path: str, kind: type[PolicySpec] | type[MonitorAutomaton]):
     return document
 
 
-def _depth_limit(args: argparse.Namespace) -> int:
-    """Insertion depth bound: the --depth flag, else the default."""
-    if args.depth < 1:
-        raise _CliError(f"--depth must be a positive integer, got {args.depth}")
-    return args.depth
-
-
 def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
     policies = [_load(path, PolicySpec) for path in args.policy]
     names = [policy.name for policy in policies]
@@ -121,7 +114,9 @@ def _build_registry(args: argparse.Namespace) -> ModuleRegistry:
         if names.index(name) < i:
             first = args.policy[names.index(name)]
             raise _CliError(f"{args.policy[i]}: policy {name} is already loaded from {first}")
-    registry = ModuleRegistry.from_policies(policies, insert_depth_limit=_depth_limit(args))
+    if args.depth < 1:
+        raise _CliError(f"--depth must be a positive integer, got {args.depth}")
+    registry = ModuleRegistry.from_policies(policies, insert_depth_limit=args.depth)
     for name in args.deactivate:
         try:
             registry.set_active(name, False)

@@ -302,10 +302,7 @@ class ModuleRegistry:
 
     The modules are fixed at construction, as a tuple in the order given,
     and indexed by the (kind, name) pairs of their alphabets: an event
-    outside every alphabet then passes without visiting any module.
-    ``enforcekit enforce`` writes such a trace line, when it has no
-    attributes, back under its running seq without building an event, and
-    still writes ``serialize_trace`` of ``enforce_trace``'s result. Module
+    outside every alphabet then passes without visiting any module. Module
     names must be unique. The registry is frozen; ``set_active`` and
     ``reset`` change its modules.
     """
@@ -366,9 +363,7 @@ class ModuleRegistry:
             module.reset()
 
 
-def _account(
-    report: EnforcementReport, name: str, event: Event, emitted: list[Event], origin_seq: int
-) -> None:
+def _account(report: EnforcementReport, name: str, event: Event, emitted: list[Event]) -> None:
     """Count and record one module's step on ``event`` from its emitted list."""
     counts = report.counts.get(name)
     if counts is None:
@@ -382,23 +377,23 @@ def _account(
         counts.passed += 1
     else:
         counts.suppressed += 1
-        report.records.append(EditRecord(origin_seq, name, SUPPRESS, event.literal()))
-    report.records += [EditRecord(origin_seq, name, INSERT, e.literal()) for e in inserted]
+        report.records.append(EditRecord(event.seq, name, SUPPRESS, event.literal()))
+    report.records += [EditRecord(event.seq, name, INSERT, e.literal()) for e in inserted]
 
 
 def _dispatch(
     registry: ModuleRegistry,
     event: Event,
     start: int,
-    depth: int,
     chain: tuple[str, ...],
     report: EnforcementReport | None,
-    origin_seq: int,
 ) -> list[Event]:
     """Run ``event`` through the active modules from index ``start`` on.
 
-    A pass hands the event to the next module. After an edit the input goes
-    downstream at ``depth`` and each synthesized event one level deeper.
+    An event's insertion depth is the number of modules in ``chain``, its
+    insertion chain, which a depth error names. After an edit the input
+    goes downstream with ``chain`` and each synthesized event with the
+    editing module appended.
     """
     modules = registry.modules
     for idx in registry._candidates.get((event.kind, event.name), ()):
@@ -410,25 +405,22 @@ def _dispatch(
             continue
         emitted = module.step(event, pattern)
         if report is not None:
-            _account(report, module.name, event, emitted, origin_seq)
+            _account(report, module.name, event, emitted)
         if len(emitted) == 1 and emitted[0] is event:
             continue
         next_chain = chain + (module.name,)
         limit = registry.insert_depth_limit
-        if emitted and depth >= limit:  # an edit that keeps anything inserts
+        if emitted and len(chain) >= limit:  # an edit that keeps anything inserts
             raise EnforcementError(
                 f"insertion depth limit {limit} exceeded "
                 f"(module chain: {' -> '.join(next_chain)})",
-                seq=origin_seq,
+                seq=event.seq,
             )
         if idx + 1 == len(modules):  # no module downstream to pass them to
             return emitted
         out: list[Event] = []
         for e in emitted:
-            if e is event:
-                out += _dispatch(registry, e, idx + 1, depth, chain, report, origin_seq)
-            else:
-                out += _dispatch(registry, e, idx + 1, depth + 1, next_chain, report, origin_seq)
+            out += _dispatch(registry, e, idx + 1, chain if e is event else next_chain, report)
         return out
     return [event]
 
@@ -442,7 +434,7 @@ def enforce_event(
     events are processed only by modules downstream of the inserting one,
     recursively, up to the registry's insertion depth limit.
     """
-    return _dispatch(registry, event, 0, 0, (), report, event.seq)
+    return _dispatch(registry, event, 0, (), report)
 
 
 def enforce_trace(
@@ -474,6 +466,6 @@ def _enforce_input(
     whose message starts with ``seq N: `` for the event's seq.
     """
     try:
-        return _dispatch(registry, event, 0, 0, (), report, event.seq)
+        return _dispatch(registry, event, 0, (), report)
     except (DispatchError, EnforcementError) as err:
         raise EnforcementError(f"seq {event.seq}: {err}", seq=event.seq) from err

@@ -211,16 +211,15 @@ def brute_force_verify(
     module = registry.modules[0]
     positioned = _positioned(universe)
     max_len = universe.max_len
-    # Failing traces of each kind as alphabet indices, by length; the walk
-    # meets the traces of one length in declaration order.
-    unsound: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    opaque: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    verdict = Verdict(sound=True, transparent=True, traces_checked=1)
+    # Failing traces of each kind as alphabet indices, keyed by the lengths
+    # that fail; the walk meets the traces of one length in declaration order.
+    unsound: dict[int, list[tuple[int, ...]]] = {}
+    opaque: dict[int, list[tuple[int, ...]]] = {}
+    traces_checked = 1
     failure: EnforcementError | None = None
     failure_len = max_len + 1
     path: list[int] = []  # alphabet indices of the current trace
-    inputs: list[Event] = []  # its events, seq 1..len
-    output: list[Event] = []  # their enforced output, not renumbered
+    output: list[Event] = []  # its enforced output, not renumbered
     # The empty trace (counted above) enforces to itself and violates
     # nothing; its state is the fresh one every walk starts from.
     root = _Node((), {}, {}, 0, 0)
@@ -228,12 +227,11 @@ def brute_force_verify(
     stack = [(1, i, root) for i in children]
     while stack:
         depth, idx, parent = stack.pop()
-        verdict.traces_checked += 1
+        traces_checked += 1
         module._restore(parent.instances)
         event = positioned[depth - 1][idx]
-        del path[depth - 1 :], inputs[depth - 1 :], output[parent.out_len :]
+        del path[depth - 1 :], output[parent.out_len :]
         path.append(idx)
-        inputs.append(event)
         try:
             emitted = _enforce_input(registry, event, None)
         except EnforcementError as err:
@@ -256,14 +254,12 @@ def brute_force_verify(
             # a prefix of the other and the prefix may grow.
             if lcp == min(parent.out_len, depth - 1):
                 end = min(len(output), depth)
-                while lcp < end and _same_but_seq(output[lcp], inputs[lcp]):
+                while lcp < end and _same_but_seq(output[lcp], positioned[lcp][path[lcp]]):
                     lcp += 1
             if lcp != depth or len(output) != depth:
-                verdict.transparent = False
-                _keep(opaque[depth], path, counterexample_limit)
+                _keep(opaque, path, counterexample_limit)
         if out_states is None:
-            verdict.sound = False
-            _keep(unsound[depth], path, counterexample_limit)
+            _keep(unsound, path, counterexample_limit)
         if depth < max_len and depth + 1 < failure_len:
             # The next node replaces these instances and copies the states,
             # so the node can hold them without copying.
@@ -272,13 +268,17 @@ def brute_force_verify(
     if failure is not None:
         raise failure
 
-    def shortest_first(by_len: list[list[tuple[int, ...]]]) -> list[Trace]:
-        paths = [p for same_len in by_len for p in same_len][:counterexample_limit]
+    def shortest_first(by_len: dict[int, list[tuple[int, ...]]]) -> list[Trace]:
+        paths = [p for n in sorted(by_len) for p in by_len[n]][:counterexample_limit]
         return [Trace(tuple(positioned[n][i] for n, i in enumerate(p))) for p in paths]
 
-    verdict.sound_counterexamples = shortest_first(unsound)
-    verdict.transparent_counterexamples = shortest_first(opaque)
-    return verdict
+    return Verdict(
+        sound=not unsound,
+        transparent=not opaque,
+        sound_counterexamples=shortest_first(unsound),
+        transparent_counterexamples=shortest_first(opaque),
+        traces_checked=traces_checked,
+    )
 
 
 class _Node(NamedTuple):
@@ -299,7 +299,9 @@ class _Node(NamedTuple):
     lcp: int
 
 
-def _keep(bucket: list[tuple[int, ...]], path: list[int], limit: int) -> None:
+def _keep(by_len: dict[int, list[tuple[int, ...]]], path: list[int], limit: int) -> None:
+    """Mark the length of ``path`` failed; keep ``path`` while under ``limit``."""
+    bucket = by_len.setdefault(len(path), [])
     if len(bucket) < limit:
         bucket.append(tuple(path))
 

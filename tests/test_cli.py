@@ -177,6 +177,15 @@ class TestEnforce:
             "1 api:Camera.open@A1\n2 !api:Camera.release@A1\n3 cb:onPause@A1\n"
         )
 
+    def test_an_out_file_in_a_missing_directory_is_unusable(self, capsys, leaky_trace, tmp_path):
+        out_path = tmp_path / "missing" / "enforced.trace"
+        code, out, err = _run(
+            capsys, "enforce", "-p", CAMERA_POLICY, leaky_trace, "-o", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {out_path}: {os.strerror(errno.ENOENT)}\n"
+
     def test_the_trace_is_written_in_one_pass(self, capsys, leaky_trace, monkeypatch):
         # No renumbered copy of the enforced trace is built on the way out.
         def refuse(*args, **kwargs):

@@ -257,6 +257,11 @@ _FAULT_POSITIONS = [
         PolicySemanticError, "'$in' cannot be used as a binder name", 2, 18, id="binder-named-in",
     ),
     pytest.param(
+        "policy P\nalphabet api a{k=,}\ninitial S\nstate S:\nend\n",
+        PolicyParseError, "expected literal or $binder, got ','", 2, 18,
+        id="missing-attribute-value",
+    ),
+    pytest.param(
         "policy P\nalphabet api a{j=$x, k=$y}\ninitial S\nstate S:\nend\n",
         PolicySemanticError, "at most one binder is allowed per pattern", 2, 14,
         id="two-binders-in-a-pattern",

@@ -657,7 +657,7 @@ def test_a_passed_event_counts_one_pass_and_no_record():
     emitted = module.step(event, module.policy.match(event))
     assert len(emitted) == 1 and emitted[0] is event
     report = EnforcementReport.for_registry(registry)
-    _account(report, module.name, event, emitted, event.seq)
+    _account(report, module.name, event, emitted)
     assert report.counts == {module.name: ModuleCounts(passed=1)}
     assert report.records == []
     assert enforce_event(registry, Event.api("Camera.open", "A2", 2), report) == [
@@ -665,6 +665,17 @@ def test_a_passed_event_counts_one_pass_and_no_record():
     ]
     assert report.counts == {module.name: ModuleCounts(passed=2)}
     assert report.records == []
+
+
+def test_a_caller_made_report_gains_the_counts_of_the_modules_that_step():
+    registry = _registry(CAMERA, OSGI)
+    report = EnforcementReport()
+    enforce_event(registry, Event.api("Camera.open", "A1", 1), report)
+    enforce_event(registry, Event.cb("onPause", "A1", 2), report)
+    assert report.counts == {"CameraRelease": ModuleCounts(inserted=1, passed=2)}
+    assert [str(r) for r in report.records] == [
+        "seq=2 module=CameraRelease action=insert event=!api:Camera.release@A1"
+    ]
 
 
 def _broadcast_reactive(spec: PolicySpec) -> set[str]:

@@ -296,6 +296,17 @@ class TestBruteForceVerify:
         assert len(verdict.sound_counterexamples) == 2
         assert verdict.traces_checked == 85
 
+    def test_a_zero_limit_keeps_no_counterexamples_but_still_fails(
+        self, camera_monitor, camera_universe_len3
+    ):
+        policy = parse_policy((ROOT / "benchmarks/identity.policy").read_text())
+        verdict = brute_force_verify(
+            policy, camera_monitor, camera_universe_len3, counterexample_limit=0
+        )
+        assert not verdict.sound and verdict.transparent
+        assert verdict.sound_counterexamples == []
+        assert verdict.traces_checked == 85
+
 
 def reference_verify(
     policy: PolicySpec,

@@ -107,6 +107,10 @@ class TestEventPattern:
         with pytest.raises(ValueError, match="at most one binder"):
             EventPattern(API, "x", (("a", Binder("p")), ("b", Binder("q"))))
 
+    def test_a_constraint_is_a_literal_or_a_binder(self):
+        with pytest.raises(TypeError, match=r"^bad constraint for 'k': 'v'$"):
+            EventPattern(API, "x", (("k", "v"),))
+
     def test_text_form(self):
         assert pat(API, "registerService", service="$s").text() == (
             "api registerService{service=$s}"

@@ -74,3 +74,41 @@ def test_tracer_counts_instances_on_enforce_and_simulate():
     assert counts["enforcement.instance_steps"] > 0
     assert counts["enforcement.instances_created"] > 0
     assert live_peak > 0
+
+
+# ``benchmarks/workloads.py`` calls these on every run, traced or not, so a
+# rename breaks the untraced runs too.
+@pytest.mark.parametrize(
+    "module, attr",
+    [
+        ("dsl", "parse_document"),
+        ("policy", "validate_policy"),
+        ("oracle", "validate_monitor"),
+        ("oracle", "check"),
+        ("simulator", "parse_scenario"),
+        ("simulator", "run_scenario"),
+        ("cli", "main"),
+    ],
+)
+def test_workload_functions_resolve(module, attr):
+    assert callable(getattr(_layer(module), attr))
+
+
+def test_workload_types_resolve():
+    assert _layer("policy").Severity.ERROR.name == "ERROR"
+    assert isinstance(_layer("policy").PolicySpec, type)
+    assert isinstance(_layer("simulator").ToggleStep, type)
+
+
+def test_workloads_can_reactivate_and_reset_a_registry():
+    # The steps simulate-fleet takes between passes to start from a fresh stack.
+    camera = _layer("dsl").parse_policy((ROOT / "catalog" / "camera_release.policy").read_text())
+    registry = _layer("enforcement").ModuleRegistry.from_policies([camera])
+    registry.set_active("CameraRelease", False)
+    for module in registry.modules:
+        if not module.active:
+            registry.set_active(module.name, True)
+    registry.reset()
+    assert [(m.name, m.active, len(m.instances)) for m in registry.modules] == [
+        ("CameraRelease", True, 0)
+    ]
